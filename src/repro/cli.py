@@ -1154,8 +1154,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.workloads import UnknownWorkload
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnknownWorkload as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

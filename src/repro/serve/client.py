@@ -36,7 +36,11 @@ class DaemonDraining(ServeError):
 
 
 class ServeClient:
-    """Blocking client bound to one daemon base URL."""
+    """Blocking client bound to one daemon base URL.
+
+    Waiting for a job is a long poll, not a polling loop: the daemon
+    answers :meth:`wait` when the job finishes.
+    """
 
     def __init__(self, base_url: str, timeout: float = 60.0):
         split = urlsplit(base_url)
@@ -140,24 +144,41 @@ class ServeClient:
             self._raise_for(status, payload)
         return payload["job"]
 
-    def status(self, job_id: str) -> Dict:
-        status, payload = self._json("GET", f"/v1/jobs/{job_id}")
+    def status(self, job_id: str, wait: float = 0.0) -> Dict:
+        """The job's status payload.
+
+        ``wait`` > 0 long-polls: the daemon holds the answer until the
+        job finishes or ``wait`` seconds pass (it caps the hold at 30s),
+        whichever is first.
+        """
+        path = f"/v1/jobs/{job_id}"
+        if wait > 0:
+            path += f"?wait={wait:.3f}"
+        status, payload = self._json("GET", path)
         if status != 200:
             self._raise_for(status, payload)
         return payload
 
-    def wait(self, job_id: str, timeout: float = 120.0, poll_s: float = 0.01) -> Dict:
-        """Poll until the job reaches a terminal state; returns status."""
+    def wait(self, job_id: str, timeout: float = 120.0) -> Dict:
+        """Block until the job reaches a terminal state; returns status.
+
+        Each call is a long poll the daemon answers the moment the job
+        finishes, so a finished job is seen at once rather than on the
+        next tick of a polling timer.  Calls are kept under half the
+        connection timeout and repeat until ``timeout`` has passed.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            payload = self.status(job_id)
+            remaining = deadline - time.monotonic()
+            payload = self.status(
+                job_id, wait=max(0.0, min(remaining, self.timeout / 2))
+            )
             if payload["state"] in (DONE, FAILED):
                 return payload
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {payload['state']} after {timeout}s"
                 )
-            time.sleep(poll_s)
 
     def result_bytes(self, job_id: str) -> bytes:
         """The canonical result payload (byte-identical to batch)."""
@@ -186,7 +207,12 @@ class ServeClient:
         return data
 
     def run(self, request: JobRequest, timeout: float = 120.0) -> Dict:
-        """Submit + wait; returns the terminal status payload."""
+        """Submit + wait; returns the terminal status payload.
+
+        A request the daemon has already answered comes back finished
+        from the submit itself (``source: "memo"``), so the wait
+        returns on its first call.
+        """
         return self.wait(self.submit(request), timeout=timeout)
 
     def health(self) -> Dict:

@@ -12,15 +12,22 @@ batches same-(workload, threshold) jobs and leases each key to one
 worker at a time (single-flight compilation); workers keep compiled
 artifacts and decoded programs hot across jobs and flush their
 artifact-store counters back **per job**, so status and stats
-responses are accurate on a daemon that never restarts.
+responses are accurate on a daemon that never restarts.  Finished
+results stay in a memo keyed by the whole request, so a repeat is
+answered at admission instead of queueing behind the key's lease, and
+long polls are woken by the job's completion instead of polling it.
 
 Endpoints (all under ``/v1``):
 
 * ``POST /v1/jobs`` — submit ``{"workload", "bar", "threshold",
   "events"}``; 202 with the job id, 429 when the queue is full
-  (backpressure), 503 while draining.
+  (backpressure), 503 while draining.  A request whose result the
+  daemon already holds is answered at admission: 202 with state
+  ``done`` and ``source: "memo"``, never queued for a worker.
 * ``GET /v1/jobs/{id}`` — lifecycle status + provenance + per-job
-  artifact counters.
+  artifact counters; ``?wait=S`` long-polls, holding the response
+  until the job finishes or ``S`` seconds pass (capped at
+  :data:`MAX_WAIT_S`).
 * ``GET /v1/jobs/{id}/result`` — the canonical result bytes
   (byte-identical to the batch runner's ``SimResult.to_state()``).
 * ``GET /v1/jobs/{id}/events`` — the typed event stream as JSONL
@@ -42,22 +49,24 @@ Endpoints (all under ``/v1``):
 Every submitted job gets a trace: ``http.submit`` (admission) ->
 ``job.queued`` (queue wait) -> ``batch.execute`` (lease to outcome)
 -> the worker's ``worker.execute`` children, adopted from the
-client's W3C ``traceparent`` header when present.  ``repro trace
---job`` merges these with the job's sim events into one Chrome trace.
+client's W3C ``traceparent`` header when present (a memo hit's trace
+is its ``http.submit`` span alone).  ``repro trace --job`` merges
+these with the job's sim events into one Chrome trace.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import signal
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.experiments import artifacts as artifacts_mod
-from repro.experiments.scheduler import JobScheduler, QueueFull, SchedulerDrained
+from repro.experiments.scheduler import JobScheduler, QueueFull
 from repro.obs import flightrec
 from repro.obs import log as log_mod
 from repro.obs import prom as prom_mod
@@ -83,6 +92,9 @@ LATENCY_BUCKETS = (
     0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
+#: longest one ``GET /v1/jobs/{id}?wait=S`` long poll is held, seconds.
+MAX_WAIT_S = 30.0
+
 
 @dataclass
 class ServeConfig:
@@ -98,7 +110,8 @@ class ServeConfig:
     batch_limit: int = 8
     #: threads for the inline (``workers=0``) pool.
     inline_threads: int = 2
-    #: completed job records kept for status/result queries.
+    #: completed job records kept for status/result queries; also
+    #: bounds the result memo that answers repeats at admission.
     retain_jobs: int = 1024
     cache_enabled: bool = True
     cache_root: Optional[str] = None
@@ -118,7 +131,8 @@ class JobRecord:
     error: str = ""
     worker_pid: int = 0
     wall_s: float = 0.0
-    result_state: Optional[Dict] = None
+    #: canonical result bytes, encoded once and shared with the memo.
+    result: Optional[bytes] = None
     event_lines: Optional[List[str]] = None
     artifact_delta: Dict[str, int] = field(default_factory=dict)
     #: kernel-compile accounting for the job (vector backend): a warm
@@ -129,9 +143,13 @@ class JobRecord:
     trace_id: str = ""
     spans: List[Dict] = field(default_factory=list)
     profile: Optional[Dict] = None
+    #: event-loop time at admission (the latency histogram's start).
+    submitted: float = 0.0
     #: live daemon-side spans (not serialized until they end).
     queue_span: Optional[object] = field(default=None, repr=False)
     batch_span: Optional[object] = field(default=None, repr=False)
+    #: resolved when the job finishes; created by the first long poll.
+    finished: Optional[asyncio.Future] = field(default=None, repr=False)
 
     def status_payload(self) -> Dict:
         payload = {
@@ -174,7 +192,8 @@ class Daemon:
         self._job_seq = 0
         self._batch_seq = 0
         self._finished: Deque[str] = deque()
-        self._submit_times: Dict[str, float] = {}
+        #: finished request -> result bytes, LRU-bounded by retain_jobs
+        self._memo: "OrderedDict[JobRequest, bytes]" = OrderedDict()
         #: batch id -> (key, job ids, worker id)
         self._batches: Dict[int, Tuple] = {}
         self._free_workers: Deque[int] = deque()
@@ -381,7 +400,7 @@ class Daemon:
         if outcome.get("ok"):
             record.state = DONE
             record.source = outcome.get("source", "")
-            record.result_state = outcome.get("result")
+            record.result = canonical_result_bytes(outcome["result"])
             record.event_lines = outcome.get("events")
         else:
             record.state = FAILED
@@ -415,18 +434,35 @@ class Daemon:
         # long-lived daemon's stats never lag behind the pool.
         if self._pool.external_state and record.artifact_delta:
             artifacts_mod.merge_counters(record.artifact_delta)
+        self._complete(record)
+
+    def _complete(self, record: JobRecord) -> None:
+        """Book a finished job, from a worker or the memo alike.
+
+        Latency and state metrics, the result memo, record retention,
+        and waking every long poll waiting on the job.
+        """
         self._completed += 1
-        submitted = self._submit_times.pop(job_id, None)
-        if submitted is not None:
-            self.registry.histogram(
-                "serve_job_seconds",
-                buckets=LATENCY_BUCKETS,
-                scheme=record.request.bar,
-            ).observe(max(0.0, self._loop.time() - submitted))
+        self.registry.histogram(
+            "serve_job_seconds",
+            buckets=LATENCY_BUCKETS,
+            scheme=record.request.bar,
+        ).observe(max(0.0, self._loop.time() - record.submitted))
         self.registry.counter("serve_jobs", state=record.state).inc()
-        self._finished.append(job_id)
+        request = record.request
+        if record.state == DONE and not (request.events or request.profile):
+            # Events and profiles are produced by a live run, so those
+            # requests always reach a worker; a hit re-inserts itself,
+            # which keeps the memo in LRU order.
+            self._memo[request] = record.result
+            self._memo.move_to_end(request)
+            while len(self._memo) > self.config.retain_jobs:
+                self._memo.popitem(last=False)
+        self._finished.append(record.job_id)
         while len(self._finished) > self.config.retain_jobs:
             self.jobs.pop(self._finished.popleft(), None)
+        if record.finished is not None and not record.finished.done():
+            record.finished.set_result(None)
 
     # ------------------------------------------------------------------
     # HTTP surface
@@ -502,7 +538,7 @@ class Daemon:
         if captured:
             if method != "GET":
                 return self._method_not_allowed()
-            return self._job_status(captured[0])
+            return await self._job_status(captured[0], request.query)
         captured = http_mod.route_match(path, "/v1/jobs/{id}/result")
         if captured:
             if method != "GET":
@@ -535,27 +571,29 @@ class Daemon:
         except ProtocolError as exc:
             submit_span.end(status="error", error=str(exc))
             return http_mod.HTTPResponse.json(error_body(str(exc)), status=400)
-        self._job_seq += 1
-        job_id = f"j{self._job_seq:08d}"
-        try:
-            self.scheduler.submit(job_request.key, job_id)
-        except SchedulerDrained:
-            self._job_seq -= 1
+        if self.scheduler.draining:
             submit_span.end(status="drained")
             return http_mod.HTTPResponse.json(
                 error_body("daemon is draining"), status=503
             )
-        except QueueFull as exc:
-            self._job_seq -= 1
-            self._rejected += 1
-            self.registry.counter("serve_rejected").inc()
-            submit_span.end(status="rejected")
-            return http_mod.HTTPResponse.json(
-                error_body(str(exc), queued=self.scheduler.queued),
-                status=429,
-                **{"Retry-After": "1"},
-            )
-        record = JobRecord(job_id=job_id, request=job_request)
+        job_id = f"j{self._job_seq + 1:08d}"
+        memo = self._memo.get(job_request)
+        if memo is None:
+            try:
+                self.scheduler.submit(job_request.key, job_id)
+            except QueueFull as exc:
+                self._rejected += 1
+                self.registry.counter("serve_rejected").inc()
+                submit_span.end(status="rejected")
+                return http_mod.HTTPResponse.json(
+                    error_body(str(exc), queued=self.scheduler.queued),
+                    status=429,
+                    **{"Retry-After": "1"},
+                )
+        self._job_seq += 1
+        record = JobRecord(
+            job_id=job_id, request=job_request, submitted=self._loop.time()
+        )
         submit_span.end(
             status="accepted",
             job=job_id,
@@ -564,26 +602,49 @@ class Daemon:
         )
         record.trace_id = submit_span.trace_id
         record.spans.append(submit_span.to_dict())
-        record.queue_span = spans_mod.Span.start(
-            "job.queued",
-            parent=submit_span.context,
-            component="scheduler",
-            job=job_id,
-        )
         self.jobs[job_id] = record
-        self._submit_times[job_id] = self._loop.time()
-        self._wakeup.set()
+        if memo is not None:
+            # A repeat of a finished request: answer it now, with no
+            # worker, queue or compile behind it.
+            record.state = DONE
+            record.source = pool_mod.SOURCE_MEMO
+            record.result = memo
+            record.artifact_delta = dict.fromkeys(artifacts_mod.counters(), 0)
+            record.codegen_delta = {"compiles": 0, "memo_hits": 0}
+            self._log.debug("memo_hit", job=job_id, workload=job_request.workload,
+                            bar=job_request.bar)
+            self._complete(record)
+        else:
+            record.queue_span = spans_mod.Span.start(
+                "job.queued",
+                parent=submit_span.context,
+                component="scheduler",
+                job=job_id,
+            )
+            self._wakeup.set()
         return http_mod.HTTPResponse.json(
-            {"job": job_id, "state": QUEUED, "trace_id": record.trace_id},
+            {"job": job_id, "state": record.state, "trace_id": record.trace_id},
             status=202,
         )
 
-    def _job_status(self, job_id: str) -> http_mod.HTTPResponse:
+    async def _job_status(
+        self, job_id: str, query: Dict[str, str]
+    ) -> http_mod.HTTPResponse:
+        wait = _wait_seconds(query)
         record = self.jobs.get(job_id)
         if record is None:
             return http_mod.HTTPResponse.json(
                 error_body(f"unknown job {job_id!r}"), status=404
             )
+        if wait > 0 and record.state not in (DONE, FAILED):
+            if record.finished is None:
+                record.finished = self._loop.create_future()
+            try:
+                # shield: one waiter timing out must not cancel the
+                # future the job's other waiters share.
+                await asyncio.wait_for(asyncio.shield(record.finished), wait)
+            except asyncio.TimeoutError:
+                pass
         return http_mod.HTTPResponse.json(record.status_payload())
 
     def _job_result(self, job_id: str) -> http_mod.HTTPResponse:
@@ -596,13 +657,11 @@ class Daemon:
             return http_mod.HTTPResponse.json(
                 error_body(record.error or "job failed"), status=500
             )
-        if record.state != DONE or record.result_state is None:
+        if record.state != DONE or record.result is None:
             return http_mod.HTTPResponse.json(
                 error_body("job not finished", state=record.state), status=409
             )
-        return http_mod.HTTPResponse.bytes(
-            canonical_result_bytes(record.result_state)
-        )
+        return http_mod.HTTPResponse.bytes(record.result)
 
     def _job_events(self, job_id: str) -> http_mod.HTTPResponse:
         record = self.jobs.get(job_id)
@@ -762,11 +821,24 @@ class Daemon:
             "jobs": {
                 "completed": self._completed,
                 "retained": len(self.jobs),
+                "memoized": len(self._memo),
                 "states": self._states_histogram(),
             },
             "artifacts": artifacts_mod.counters(),
             "latency": latency,
         }
+
+
+def _wait_seconds(query: Dict[str, str]) -> float:
+    """The ``?wait=S`` long-poll budget, capped at :data:`MAX_WAIT_S`."""
+    text = query.get("wait", "0")
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not 0 <= seconds < math.inf:  # NaN fails every comparison
+        raise http_mod.BadRequest(f"bad wait {text!r}: expected seconds >= 0")
+    return min(seconds, MAX_WAIT_S)
 
 
 # ---------------------------------------------------------------------------

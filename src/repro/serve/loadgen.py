@@ -48,6 +48,7 @@ from repro.serve.client import DaemonDraining, JobRejected, ServeClient
 from repro.serve.daemon import LATENCY_BUCKETS, EmbeddedDaemon, ServeConfig
 from repro.serve.pool import SOURCE_MEMO
 from repro.serve.protocol import DONE, JobRequest
+from repro.workloads import get_workload
 
 #: Default request matrix: the fig10 bar sample on the two quickest
 #: workloads (overridable from the CLI).
@@ -191,6 +192,8 @@ def _summary_of(latencies: Sequence[float]) -> Dict[str, float]:
 
 def run_loadgen(config: LoadgenConfig) -> Dict:
     """Run both phases and return the ``BENCH_serve`` payload."""
+    for name in config.workloads:
+        get_workload(name)  # an unknown name fails before any daemon boots
     embedded: Optional[EmbeddedDaemon] = None
     if config.url:
         base_url = config.url

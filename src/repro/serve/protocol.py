@@ -122,10 +122,12 @@ class JobRequest:
         workload = payload.get("workload")
         if not isinstance(workload, str) or not workload:
             raise ProtocolError("'workload' (string) is required")
-        from repro.workloads import all_workloads
+        from repro.workloads import UnknownWorkload, get_workload
 
-        if workload not in {w.name for w in all_workloads()}:
-            raise ProtocolError(f"unknown workload {workload!r}")
+        try:
+            get_workload(workload)
+        except UnknownWorkload as exc:
+            raise ProtocolError(str(exc)) from None
         bar = payload.get("bar", "C")
         if not isinstance(bar, str) or bar.upper() not in SERVE_BARS:
             raise ProtocolError(

@@ -21,6 +21,11 @@ from repro.workloads import (  # noqa: F401  (registration side effects)
     bzip2_decomp,
     twolf,
 )
-from repro.workloads.base import Workload, all_workloads, get_workload
+from repro.workloads.base import (
+    UnknownWorkload,
+    Workload,
+    all_workloads,
+    get_workload,
+)
 
-__all__ = ["Workload", "all_workloads", "get_workload"]
+__all__ = ["UnknownWorkload", "Workload", "all_workloads", "get_workload"]

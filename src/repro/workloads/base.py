@@ -63,10 +63,29 @@ def all_workloads() -> List[Workload]:
     return list(_REGISTRY.values())
 
 
+class UnknownWorkload(KeyError):
+    """A workload name that is not registered.
+
+    A ``KeyError`` (what a registry lookup has always raised) whose
+    message names the known workloads instead of echoing the key.
+    """
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.name = name
+
+    def __str__(self) -> str:
+        known = ", ".join(w.name for w in all_workloads())
+        return f"unknown workload {self.name!r} (known: {known})"
+
+
 def get_workload(name: str) -> Workload:
     import repro.workloads  # noqa: F401
 
-    return _REGISTRY[name]
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise UnknownWorkload(name) from None
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "winner=C" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "--workloads", "nosuch"],
+        ["report", "--workloads", "go,nosuch", "--jobs", "2"],
+        ["simulate", "nosuch"],
+    ])
+    def test_unknown_workload_is_a_message_not_a_traceback(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "unknown workload 'nosuch'" in captured.err
+        assert "known: go, m88ksim" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "results.md"
         assert main([

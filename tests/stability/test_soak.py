@@ -8,7 +8,8 @@ that balloon.  This tier hammers one embedded daemon with warm submits
 * zero failed jobs over the whole soak,
 * results staying byte-identical from first to last iteration,
 * tracemalloc growth ratio below a small bound once warm,
-* the job-record retention cap actually bounding the daemon's map.
+* the job-record retention cap actually bounding the daemon's map
+  and its result memo.
 
 Iteration count scales with ``REPRO_SOAK_ITERS`` (default 300 — about
 a minute; the nightly workflow raises it).
@@ -81,8 +82,9 @@ def test_soak_warm_submits_do_not_leak(tmp_path, memory_tracker):
             assert stats["jobs"]["completed"] == (
                 SOAK_ITERS + warmup + len(requests)
             )
-            # Retention cap bounds the daemon's job map.
+            # Retention cap bounds the daemon's job map and its memo.
             assert stats["jobs"]["retained"] <= config.retain_jobs + 1
+            assert stats["jobs"]["memoized"] <= config.retain_jobs
             assert stats["queue"]["rejected"] == 0
 
         growth = memory_tracker.get_growth_ratio()

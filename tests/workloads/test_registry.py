@@ -1,11 +1,13 @@
 """Workload registry: metadata, buildability, determinism."""
 
+import pickle
+
 import pytest
 
 from repro.ir.basicblock import deterministic_iids
 from repro.ir.interpreter import run_module
 from repro.ir.verifier import verify_module
-from repro.workloads import all_workloads, get_workload
+from repro.workloads import UnknownWorkload, all_workloads, get_workload
 
 EXPECTED = [
     "go", "m88ksim", "ijpeg", "gzip_comp", "gzip_decomp", "vpr_place",
@@ -22,6 +24,17 @@ class TestRegistry:
         assert get_workload("go").name == "go"
         with pytest.raises(KeyError):
             get_workload("ghost")
+
+    def test_unknown_workload_names_the_known_ones(self):
+        with pytest.raises(UnknownWorkload) as excinfo:
+            get_workload("ghost")
+        assert str(excinfo.value) == (
+            "unknown workload 'ghost' (known: " + ", ".join(EXPECTED) + ")"
+        )
+        # Pickles (it can cross a worker-process boundary).
+        assert str(pickle.loads(pickle.dumps(excinfo.value))) == str(
+            excinfo.value
+        )
 
     def test_spec_names_unique(self):
         specs = [w.spec_name for w in all_workloads()]
