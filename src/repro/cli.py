@@ -263,7 +263,7 @@ def _cmd_scorecard(args) -> int:
     _setup_run(args)
     results = run_scorecard(args.workloads)
     print(format_scorecard(results))
-    return 0 if all(r.ok for r in results) else 1
+    return 0 if all(r.ok or r.skipped for r in results) else 1
 
 
 def _cmd_cache(args) -> int:

@@ -175,7 +175,9 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle)
+                # dumps() takes the C encoder; dump() streams through
+                # the pure-Python one.  The text is identical.
+                handle.write(json.dumps(entry))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 #: Where a job's result came from.
-SOURCE_COMPUTED = "computed"   # simulated in this process
-SOURCE_WORKER = "worker"       # simulated in a pool worker process
+SOURCE_COMPUTED = "computed"   # simulated in this run (see JobMetric.worker)
 SOURCE_CACHE = "cache"         # served from the persistent disk cache
 SOURCE_MEMO = "memo"           # served from the in-process memo
 
@@ -97,9 +96,7 @@ class RunMetrics:
 
     @property
     def cache_misses(self) -> int:
-        return sum(
-            1 for j in self.jobs if j.source in (SOURCE_COMPUTED, SOURCE_WORKER)
-        )
+        return sum(1 for j in self.jobs if j.source == SOURCE_COMPUTED)
 
     @property
     def hit_rate(self) -> float:

@@ -9,17 +9,22 @@ at three levels:
 * **in-process** — per-bundle dicts, as before;
 * **on disk** — the persistent result cache
   (:mod:`repro.experiments.cache`), when the CLI enables it;
-* **across cores** — :func:`execute_plan` schedules a sweep of
-  :class:`JobSpec` simulation jobs as an explicit DAG (one compile
-  node per workload, bar-simulation nodes depending on it) over a
-  ``ProcessPoolExecutor``, merging results back deterministically so
-  downstream rendering is byte-identical to a serial run.
+* **across cores** — :func:`execute_plan` schedules a plan of
+  :class:`JobSpec` simulation jobs (a report, or a whole ``repro
+  sweep`` grid) as an explicit DAG (one compile node per workload,
+  bar-simulation nodes depending on it) over a
+  ``ProcessPoolExecutor``.  Each group's results reach the persistent
+  cache as soon as the group lands; memos and run metrics are merged
+  back in plan order so downstream rendering is byte-identical to a
+  serial run.  A job simulated in a worker is recorded as
+  ``computed`` with the worker's pid, exactly like a serial one.
 
 Scheduling policy: a workload's pending simulation nodes are
 co-scheduled with their compile dependency in a single worker task, so
 compiled binaries never cross a process boundary and each workload is
-compiled at most once per run.  Parallelism is across workloads — the
-sweep matrix is 15 workloads wide, which saturates typical machines.
+compiled (or loaded from the artifact store) at most once per run.
+Parallelism is across workloads — the report matrix is 15 workloads
+wide, which saturates typical machines.
 
 Compilation is lazy: a bundle only compiles when a simulation misses
 every cache level or when profile/compile artifacts are requested, so
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -460,6 +465,17 @@ def _run_spec(spec: JobSpec, bundle: WorkloadBundle) -> Optional[SimResult]:
     )
 
 
+def _sim_disk_key(
+    spec: JobSpec, bundle: WorkloadBundle, program: str, config: SimConfig
+) -> str:
+    """The persistent-cache key of a resolved ``bar``/``custom`` spec."""
+    if spec.kind == "bar":
+        return bundle._disk_key(
+            "bar", spec.label, program, config, parallel=(spec.label != "SEQ")
+        )
+    return bundle._disk_key("custom", "", program, config)
+
+
 def _try_resolve_from_cache(spec: JobSpec, bundle: WorkloadBundle) -> bool:
     """Serve a spec from memo/disk without computing; False on miss.
 
@@ -501,10 +517,9 @@ def _try_resolve_from_cache(spec: JobSpec, bundle: WorkloadBundle) -> bool:
                 counters=memo_hit.counters,
             )
             return True
-        disk_key = bundle._disk_key(
-            "bar", spec.label, program, config, parallel=(spec.label != "SEQ")
+        result = bundle._disk_get_result(
+            _sim_disk_key(spec, bundle, program, config)
         )
-        result = bundle._disk_get_result(disk_key)
         if result is None:
             return False
         bundle._results[memo_key] = result
@@ -517,8 +532,9 @@ def _try_resolve_from_cache(spec: JobSpec, bundle: WorkloadBundle) -> bool:
                 counters=memo_hit.counters,
             )
             return True
-        disk_key = bundle._disk_key("custom", "", program, config)
-        result = bundle._disk_get_result(disk_key)
+        result = bundle._disk_get_result(
+            _sim_disk_key(spec, bundle, program, config)
+        )
         if result is None:
             return False
         bundle._custom[memo_key] = result
@@ -553,30 +569,16 @@ def _execute_group(payload: Tuple[str, float, List[JobSpec], Optional[str]]) -> 
     out: List[Dict] = []
     for spec in specs:
         started = time.perf_counter()
-        if spec.kind == "profile":
-            bundle.profile_summary()
-            out.append(
-                {
-                    "spec_id": _spec_id(spec),
-                    "kind": "profile",
-                    "wall_s": time.perf_counter() - started,
-                }
-            )
-            continue
-        config, program, oracle_needed = _resolve_config(spec, bundle)
-        result = bundle.simulate_custom(
-            program, config, oracle_needed=oracle_needed, label=spec.label
-        ) if spec.kind != "bar" else bundle.simulate(spec.label, _base_config(spec))
-        out.append(
-            {
-                "spec_id": _spec_id(spec),
-                "kind": spec.kind,
-                "config": cache_mod.config_to_state(config),
-                "program": program,
-                "result": result.to_state(),
-                "wall_s": time.perf_counter() - started,
-            }
-        )
+        result = _run_spec(spec, bundle)
+        job: Dict = {"spec_id": _spec_id(spec), "kind": spec.kind}
+        if result is not None:
+            config, program, _needed = _resolve_config(spec, bundle)
+            memo = spec.label if spec.kind == "bar" else program
+            job["memo_key"] = (memo, config)
+            job["disk_key"] = _sim_disk_key(spec, bundle, program, config)
+            job["result"] = result.to_state()
+        job["wall_s"] = time.perf_counter() - started
+        out.append(job)
     return {
         "workload": name,
         "threshold": threshold,
@@ -588,56 +590,53 @@ def _execute_group(payload: Tuple[str, float, List[JobSpec], Optional[str]]) -> 
     }
 
 
-def _merge_group(group: Dict, specs_by_id: Dict[str, JobSpec]) -> None:
-    """Parent-side: seed memos, persist to disk, record metrics."""
-    bundle = bundle_for(group["workload"], group["threshold"])
+def _persist_group(group: Dict) -> None:
+    """Parent-side, as soon as a group lands: store its results in the
+    persistent cache, so a run killed later keeps every finished group."""
     cache = cache_mod.active_cache()
+    if cache is None:
+        return
+    if group["profile_summary"] is not None:
+        cache.put(
+            cache_mod.result_key(
+                group["workload"], group["threshold"],
+                "profile", "profile", "", None,
+            ),
+            group["profile_summary"],
+        )
+    for job in group["jobs"]:
+        if "result" in job:
+            cache.put(job["disk_key"], job["result"])
+
+
+def _merge_group(group: Dict, specs_by_id: Dict[str, JobSpec]) -> None:
+    """Parent-side, in plan order: seed memos and record metrics.
+
+    Work the worker did is recorded as ``computed`` under the worker's
+    pid; artifact-store hits keep their cache provenance so warm runs
+    are visibly compile-free.
+    """
+    bundle = bundle_for(group["workload"], group["threshold"])
+    record = metrics_mod.current().record
     for job in group.get("pipeline", ()):
-        # Compiles/oracle collections the worker actually performed
-        # surface as worker jobs; artifact-store hits keep their cache
-        # provenance so warm runs are visibly compile-free.
-        source = job["source"]
-        if source == metrics_mod.SOURCE_COMPUTED:
-            source = metrics_mod.SOURCE_WORKER
-        metrics_mod.current().record(
-            group["workload"], job["label"], job["kind"], source,
+        record(
+            group["workload"], job["label"], job["kind"], job["source"],
             job["wall_s"], worker=group["pid"],
         )
-    if group["profile_summary"] is not None and bundle._profile_summary is None:
+    if bundle._profile_summary is None:
         bundle._profile_summary = group["profile_summary"]
-        if cache is not None:
-            cache.put(
-                cache_mod.result_key(
-                    group["workload"], group["threshold"],
-                    "profile", "profile", "", None,
-                ),
-                group["profile_summary"],
-            )
     for job in group["jobs"]:
         spec = specs_by_id[job["spec_id"]]
-        if job["kind"] == "profile":
-            metrics_mod.current().record(
-                group["workload"], "profile", "profile",
-                metrics_mod.SOURCE_WORKER, job["wall_s"], worker=group["pid"],
-            )
-            continue
-        config = cache_mod.config_from_state(job["config"])
-        result = SimResult.from_state(job["result"])
-        if spec.kind == "bar":
-            bundle._results[(spec.label, config)] = result
-            disk_key = bundle._disk_key(
-                "bar", spec.label, job["program"], config,
-                parallel=(spec.label != "SEQ"),
-            )
-        else:
-            bundle._custom[(job["program"], config)] = result
-            disk_key = bundle._disk_key("custom", "", job["program"], config)
-        if cache is not None:
-            cache.put(disk_key, result.to_state())
-        metrics_mod.current().record(
+        counters = None
+        if "result" in job:
+            result = SimResult.from_state(job["result"])
+            memos = bundle._results if spec.kind == "bar" else bundle._custom
+            memos[job["memo_key"]] = result
+            counters = result.counters
+        record(
             group["workload"], spec.label, spec.kind,
-            metrics_mod.SOURCE_WORKER, job["wall_s"], worker=group["pid"],
-            counters=result.counters,
+            metrics_mod.SOURCE_COMPUTED, job["wall_s"], worker=group["pid"],
+            counters=counters,
         )
 
 
@@ -647,9 +646,11 @@ def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> JobGraph:
     Builds the explicit DAG, serves whatever it can from the memo and
     the persistent cache, then dispatches each remaining per-workload
     subgraph (compile node + its pending simulations) to a worker.
-    Results are merged deterministically — iteration order is the spec
-    order, independent of completion order — and seeded into the
-    in-process bundles so subsequent rendering never recomputes.
+    Each group's results reach the persistent cache as soon as that
+    group lands; a failed group is re-raised only after every other
+    group has landed and been persisted.  Memos are then seeded and
+    metrics recorded deterministically — in spec order, independent of
+    completion order — so subsequent rendering never recomputes.
     """
     if jobs < 1:
         jobs = os.cpu_count() or 1
@@ -671,6 +672,7 @@ def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> JobGraph:
                 _run_spec(spec, bundle_for(_name, _threshold))
         return graph
     results: Dict[str, Dict] = {}
+    failure: Optional[BaseException] = None
     artifact_root = artifacts_mod.active_root()
     with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
         futures = {
@@ -679,20 +681,22 @@ def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> JobGraph:
             ): name
             for name, threshold, group_specs in groups
         }
-        outstanding = set(futures)
-        while outstanding:
-            done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-            for future in done:
+        for future in as_completed(futures):
+            try:
                 group = future.result()
-                results[futures[future]] = group
-                # Fold the worker's artifact-store counters in as soon
-                # as its group lands (not at pool shutdown): commutative
-                # sums, and a long-lived parent — the serve daemon uses
-                # the same discipline — reports accurate hit/fallback
-                # counts while other groups are still running.
-                artifacts_mod.merge_counters(
-                    group.get("artifact_counters", {})
-                )
+            except Exception as exc:  # re-raised once the others landed
+                failure = failure or exc
+                continue
+            results[futures[future]] = group
+            # Fold the worker's artifact-store counters in as soon as
+            # its group lands (not at pool shutdown): commutative sums,
+            # and a long-lived parent — the serve daemon uses the same
+            # discipline — reports accurate hit/fallback counts while
+            # other groups are still running.
+            artifacts_mod.merge_counters(group.get("artifact_counters", {}))
+            _persist_group(group)
+    if failure is not None:
+        raise failure
     # Deterministic merge: group submission order, spec order within.
     for name, _threshold, _group_specs in groups:
         _merge_group(results[name], specs_by_id)

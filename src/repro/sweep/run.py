@@ -1,23 +1,27 @@
 """Sweep execution: fan grid points through the experiment scheduler.
 
-Every point becomes a ``bar``-kind :class:`JobSpec` whose overrides
-carry the point's config coordinates, executed through
-:func:`repro.experiments.runner.execute_plan` — the same job DAG /
-process fan-out / result-cache machinery the report generator uses, so
-warm points are cache hits and the compiled-artifact store keeps the
-per-workload compile amortized.  A SEQ baseline job rides along per
-distinct *machine* coordinate so every point's metrics include the
-paper's normalized region time and region speedup (the sequential
-baseline deliberately ignores scheme axes like ``predictor`` — the
-same machine runs one sequential program regardless of the speculation
-scheme, so the baseline is shared rather than recomputed per scheme).
+Every pending point becomes a ``bar``-kind :class:`JobSpec` whose
+overrides carry the point's config coordinates, and the whole grid is
+executed by **one** :func:`repro.experiments.runner.execute_plan` call
+— the same job DAG / process fan-out / result-cache machinery the
+report generator uses.  With ``jobs > 1`` each workload's simulations
+run as one group on their own worker (a workload is never split, so
+each compiled artifact is loaded exactly once), warm points are cache
+hits, and the compiled-artifact store keeps the per-workload compile
+amortized.  A SEQ baseline job rides along per distinct *machine*
+coordinate so every point's metrics include the paper's normalized
+region time and region speedup (the sequential baseline deliberately
+ignores scheme axes like ``predictor`` — the same machine runs one
+sequential program regardless of the speculation scheme, so the
+baseline is shared rather than recomputed per scheme).
 
 Progress is resumable: ``<out_dir>/sweep_state.json`` records one
 entry per completed point, keyed by the point's content id and guarded
 by the grid's content key.  Re-running the same grid skips completed
-points entirely (zero recomputation — not even a cache probe), and a
-run killed mid-flight loses at most the chunk in progress, whose
-simulations the persistent result cache still serves warm on resume.
+points entirely (zero recomputation — not even a cache probe).  The
+state file is written once, after the fan-out: a run killed mid-flight
+loses the state of that fan-out, but every workload whose group had
+finished is already in the persistent result cache and resumes warm.
 """
 
 from __future__ import annotations
@@ -185,66 +189,54 @@ def run_sweep(
         f"{len(todo)} to run"
     )
 
-    # one chunk per workload: the chunk's compile is shared, and state
-    # lands on disk after every chunk so a kill loses at most one.
-    chunks: List[Tuple[str, List[SweepPoint]]] = []
-    for point in todo:
-        if chunks and chunks[-1][0] == point.workload:
-            chunks[-1][1].append(point)
-        else:
-            chunks.append((point.workload, [point]))
-
-    computed = 0
-    if not todo:
-        _write_state(state_path, grid, done)
-    for workload, chunk in chunks:
-        specs: List[JobSpec] = []
-        seen = set()
-        for point in chunk:
+    # one plan for the whole grid: execute_plan groups it per workload
+    # and fans the groups out (its graph drops repeated SEQ baselines);
+    # every point below then reads seeded memos.
+    execute_plan(
+        [
+            JobSpec(
+                workload=point.workload, kind="bar", label=label,
+                threshold=point.threshold, overrides=overrides,
+            )
+            for point in todo
             for label, overrides in (
                 (point.bar, point.overrides),
                 ("SEQ", _seq_overrides(point)),
-            ):
-                spec = JobSpec(
-                    workload=point.workload, kind="bar", label=label,
-                    threshold=point.threshold, overrides=overrides,
-                )
-                if spec not in seen:
-                    seen.add(spec)
-                    specs.append(spec)
-        execute_plan(specs, jobs=jobs)
-        bundle = bundle_for(workload, grid.threshold)
-        for point in chunk:
-            point_started = time.perf_counter()
-            result = bundle.simulate(
-                point.bar, _base_config(point.overrides)
             )
-            sequential = bundle.simulate(
-                "SEQ", _base_config(_seq_overrides(point))
-            )
-            point_wall = time.perf_counter() - point_started
-            record = _point_record(point, result, sequential)
-            record["wall_s"] = point_wall
-            done[point.point_id] = record
-            computed += 1
-            metric = record["metrics"]
-            emit(
-                f"  [{resumed + computed}/{len(points)}] {point.label()}"
-                f" -> region_time {metric['region_time']:.1f}"
-                f" speedup {metric['speedup']:.2f}x"
-                f" ({point_wall:.2f}s)"
-            )
-            logger.debug(
-                "sweep_point",
-                point=point.label(),
-                point_id=point.point_id,
-                workload=point.workload,
-                bar=point.bar,
-                region_time=round(metric["region_time"], 3),
-                speedup=round(metric["speedup"], 3),
-                wall_s=round(point_wall, 6),
-            )
-        _write_state(state_path, grid, done)
+        ],
+        jobs=jobs,
+    )
+
+    computed = len(todo)
+    for index, point in enumerate(todo, resumed + 1):
+        point_started = time.perf_counter()
+        bundle = bundle_for(point.workload, point.threshold)
+        result = bundle.simulate(point.bar, _base_config(point.overrides))
+        sequential = bundle.simulate(
+            "SEQ", _base_config(_seq_overrides(point))
+        )
+        point_wall = time.perf_counter() - point_started
+        record = _point_record(point, result, sequential)
+        record["wall_s"] = point_wall
+        done[point.point_id] = record
+        metric = record["metrics"]
+        emit(
+            f"  [{index}/{len(points)}] {point.label()}"
+            f" -> region_time {metric['region_time']:.1f}"
+            f" speedup {metric['speedup']:.2f}x"
+            f" ({point_wall:.2f}s)"
+        )
+        logger.debug(
+            "sweep_point",
+            point=point.label(),
+            point_id=point.point_id,
+            workload=point.workload,
+            bar=point.bar,
+            region_time=round(metric["region_time"], 3),
+            speedup=round(metric["speedup"], 3),
+            wall_s=round(point_wall, 6),
+        )
+    _write_state(state_path, grid, done)
 
     records = [
         done[point.point_id] for point in points if point.point_id in done

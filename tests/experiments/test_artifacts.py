@@ -7,6 +7,7 @@ event stream — across the whole suite.  Corruption and version drift
 must degrade to recompilation, never to a crash or a wrong result.
 """
 
+import io
 import json
 import os
 
@@ -98,6 +99,27 @@ class TestArtifactRoundTrip:
         loaded_stream, loaded_result = _stream(loaded.sync_ref, config)
         assert loaded_result.to_state() == fresh_result.to_state()
         assert loaded_stream == fresh_stream
+
+    def test_entry_text_is_what_json_dump_writes(self, tmp_path):
+        """The store encodes with json.dumps; the bytes on disk must be
+        the ones the streaming json.dump wrote before."""
+        workload = get_workload("go")
+        compiled = bundle_for("go").compiled
+        store = _store(tmp_path)
+        store.save_compiled(workload, 0.05, compiled)
+        path = store._path(
+            store.compiled_key(workload, 0.05), artifacts_mod.KIND_COMPILED
+        )
+        expected = io.StringIO()
+        json.dump(
+            {
+                "schema": artifacts_mod.ARTIFACT_SCHEMA_VERSION,
+                "pipeline": artifacts_mod.pipeline_fingerprint(),
+                "payload": artifacts_mod.compiled_to_state(compiled),
+            },
+            expected,
+        )
+        assert path.read_bytes() == expected.getvalue().encode()
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_oracle_state_roundtrip(self, name, tmp_path):

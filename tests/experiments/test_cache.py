@@ -1,5 +1,6 @@
 """The persistent result cache: keys, storage, and bundle integration."""
 
+import io
 import json
 
 from repro.experiments import cache as cache_mod
@@ -78,6 +79,23 @@ class TestResultCache:
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"schema": -1, "payload": {"x": 1}}))
         assert cache.get(key) is None
+
+    def test_entry_text_is_what_json_dump_writes(self, tmp_path):
+        """put() encodes with json.dumps; the bytes on disk must be the
+        ones the streaming json.dump wrote before."""
+        cache = cache_mod.ResultCache(str(tmp_path / "c"))
+        key = "ab" + "0" * 62
+        payload = {
+            "cycles": 123456789, "ratio": 0.1 + 0.2, "tiny": 1e-300,
+            "name": "gzip_comp \u00e9", "nested": [{"b": [1, 2.5]}, None, True],
+        }
+        cache.put(key, payload)
+        expected = io.StringIO()
+        json.dump(
+            {"schema": cache_mod.CACHE_SCHEMA_VERSION, "payload": payload},
+            expected,
+        )
+        assert cache._path(key).read_bytes() == expected.getvalue().encode()
 
     def test_clear_and_info(self, tmp_path):
         cache = cache_mod.ResultCache(str(tmp_path / "c"))

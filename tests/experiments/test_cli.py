@@ -82,6 +82,22 @@ class TestCommands:
         assert "known: go, m88ksim" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_scorecard_on_a_subset_skips_claims_it_cannot_check(
+        self, capsys
+    ):
+        assert main(["scorecard", "--workloads", "go"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        out = captured.out
+        # named workloads outside the subset, and suite-wide counts
+        assert "[SKIP] Compiler wins GO/GZIP_DECOMP" in out
+        assert "needs gzip_decomp, perlbmk, gap, m88ksim, vpr_place" in out
+        assert "counts over all 15 workloads; 14 not requested" in out
+        # claims that hold per workload still run on the subset
+        assert "[PASS] Slot attribution explains 100%" in out
+        assert "[FAIL]" not in out
+        assert "2/2 claims reproduced, 10 skipped" in out
+
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "results.md"
         assert main([

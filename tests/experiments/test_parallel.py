@@ -1,10 +1,14 @@
 """The parallel runner: planning, determinism, and run metrics."""
 
 import json
+import os
+
+import pytest
 
 from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments import runner
+from repro.experiments.scheduler import JobSpec
 
 WORKLOADS = ["go", "mcf", "perlbmk"]
 BARS = ("U", "C", "H", "B")
@@ -60,13 +64,39 @@ class TestDeterminism:
 
         run = metrics_mod.current()
         sources = {job.source for job in run.jobs}
-        assert sources == {metrics_mod.SOURCE_WORKER}
+        assert sources == {metrics_mod.SOURCE_COMPUTED}
+        # ...and every one of them was simulated in a worker process
+        assert all(job.worker != os.getpid() for job in run.jobs)
         # one metric per sim spec, plus one compile record per workload
         # (the artifact store was disabled, so every compile really ran)
         sims = [job for job in run.jobs if job.kind not in ("compile", "oracle")]
         compiles = [job for job in run.jobs if job.kind == "compile"]
         assert len(sims) == len(specs)
         assert {job.workload for job in compiles} == set(WORKLOADS)
+
+
+class TestPersistAsGroupsLand:
+    def test_finished_groups_survive_a_failed_group(
+        self, tmp_path, fresh_bundles
+    ):
+        """Each group reaches the result cache as soon as it lands, so
+        a fan-out that fails (or is killed) keeps every finished group."""
+        cache_mod.configure(True, str(tmp_path / "c"))
+        broken = JobSpec(
+            workload="mcf", kind="custom", label="broken",
+            program="no_such_program",
+        )
+        good = runner.plan_bar_jobs(["go"], ("U",))
+        with pytest.raises(AttributeError, match="no_such_program"):
+            runner.execute_plan([broken] + good, jobs=2)
+
+        runner.clear_cache()
+        metrics_mod.reset()
+        runner.execute_plan(good, jobs=1)
+        warm = metrics_mod.current()
+        assert warm.cache_misses == 0
+        assert warm.cache_hits == len(good)
+        assert not runner.bundle_for("go").is_compiled
 
 
 class TestExecuteMetrics:

@@ -1,16 +1,21 @@
 """The sweep lab: grids, resumable execution, scaling surfaces.
 
 Grid tests are pure validation (no simulation); the run tests drive
-``run_sweep`` over tiny one-workload grids and pin the resume
-contract — a rerun computes zero points, a partial (``max_points``)
-run resumes exactly where it stopped, and a foreign or stale state
-file is ignored rather than trusted.
+``run_sweep`` over tiny grids and pin the resume contract — a rerun
+computes zero points, a partial (``max_points``) run resumes exactly
+where it stopped, and a foreign or stale state file is ignored rather
+than trusted — and the fan-out: ``jobs=2`` gives the serial records,
+simulating each job once on a worker per workload.
 """
 
 import json
+import os
 
 import pytest
 
+from repro.experiments import artifacts as artifacts_mod
+from repro.experiments import metrics as metrics_mod
+from repro.experiments import runner
 from repro.sweep.grid import (
     GridError,
     SweepPoint,
@@ -223,10 +228,74 @@ class TestRunSweep:
         seq_jobs = [
             j for j in metrics_mod.current().jobs
             if j.kind == "bar" and j.label == "SEQ"
-            and j.source in ("computed", "worker")
+            and j.source == "computed"
         ]
         # 2 distinct machine points (num_cores), not 4 scheme points
         assert len(seq_jobs) == 2, [j.label for j in seq_jobs]
+
+
+def _without_wall(records):
+    return [
+        {key: value for key, value in record.items() if key != "wall_s"}
+        for record in records
+    ]
+
+
+class TestSweepFanOut:
+    """``jobs > 1`` runs the whole grid as one plan, one group per
+    workload, each on its own worker."""
+
+    def _sweep(self, grid, out, jobs):
+        runner.clear_cache()
+        artifacts_mod.reset_counters()
+        metrics_mod.reset(workers=jobs)
+        outcome = run_sweep(grid, out_dir=str(out), jobs=jobs)
+        state = json.loads(outcome.state_path.read_text())
+        points = {
+            pid: _without_wall([record])[0]
+            for pid, record in state["points"].items()
+        }
+        return outcome, points, metrics_mod.current(), artifacts_mod.counters()
+
+    def test_fan_out_matches_serial_once_per_job(
+        self, tmp_path, fresh_bundles
+    ):
+        grid = build_grid(
+            ["go", "mcf"], ["U"], axes=[("num_cores", (2, 4))]
+        )
+        artifacts_mod.configure(True, str(tmp_path / "store"))
+        for name in ("go", "mcf"):
+            runner.bundle_for(name).compiled  # warm the artifact store
+
+        serial, serial_points, _run, serial_loads = self._sweep(
+            grid, tmp_path / "serial", jobs=1
+        )
+        fanned, fanned_points, run, loads = self._sweep(
+            grid, tmp_path / "fanned", jobs=2
+        )
+
+        assert fanned.complete and fanned.computed == len(grid.expand())
+        assert _without_wall(fanned.records) == _without_wall(serial.records)
+        assert fanned_points == serial_points
+
+        # every planned simulation ran exactly once, in a worker, and a
+        # workload's simulations all ran on the same worker
+        sims = [job for job in run.jobs if job.kind == "bar"]
+        planned = {
+            (point.workload, label, cores)
+            for point in grid.expand()
+            for label in (point.bar, "SEQ")
+            for cores in (point.axis_value("num_cores"),)
+        }
+        assert len(sims) == len(planned)
+        assert {job.source for job in sims} == {metrics_mod.SOURCE_COMPUTED}
+        assert all(job.worker != os.getpid() for job in sims)
+        for name in ("go", "mcf"):
+            assert len({j.worker for j in sims if j.workload == name}) == 1
+
+        # each compiled artifact loaded exactly once, as on the serial path
+        assert loads["hits"] == serial_loads["hits"] == 2
+        assert loads["misses"] == serial_loads["misses"] == 0
 
 
 class TestSurface:
