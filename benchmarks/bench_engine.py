@@ -38,32 +38,6 @@ def test_engine_synchronized_throughput(benchmark):
     assert result.regions[0].epochs_committed > 0
 
 
-def test_engine_vector_backend_throughput(benchmark):
-    # Fused-region dispatch (SimConfig.backend="vector"); compare
-    # against test_engine_baseline_throughput for the superop speedup.
-    # Region lowering is amortized by the per-module memo, so rounds
-    # after the first measure steady-state dispatch.
-    bundle = bundle_for("parser")
-    module = bundle.compiled.baseline
-
-    def run():
-        return TLSEngine(module, config=SimConfig(backend="vector")).run()
-
-    result = benchmark(run)
-    assert result.regions[0].epochs_committed > 0
-
-
-def test_engine_vector_synchronized_throughput(benchmark):
-    bundle = bundle_for("parser")
-    module = bundle.compiled.sync_ref
-
-    def run():
-        return TLSEngine(module, config=SimConfig(backend="vector")).run()
-
-    result = benchmark(run)
-    assert result.regions[0].epochs_committed > 0
-
-
 def test_engine_obs_detached_throughput(benchmark):
     # The default serving/batch configuration: no bus attached.  The
     # pair with test_engine_obs_attached_throughput quantifies the

@@ -277,17 +277,6 @@ def _cmd_cache(args) -> int:
         if only in ("all", "artifacts"):
             removed = store.clear()
             print(f"removed {removed} artifact(s) from {store.root}")
-        elif only == "lowered":
-            removed = store.clear(kinds=(artifacts_mod.KIND_LOWERED,))
-            print(
-                f"removed {removed} lowered-region artifact(s) "
-                f"from {store.root}"
-            )
-        elif only == "kernels":
-            removed = store.clear(kinds=(artifacts_mod.KIND_KERNEL,))
-            print(
-                f"removed {removed} kernel artifact(s) from {store.root}"
-            )
         return 0
     info = cache.info()
     print("results")
@@ -299,8 +288,6 @@ def _cmd_cache(args) -> int:
     print(f"  root    : {artifact_info['root']}")
     print(f"  compiled: {artifact_info['compiled']}")
     print(f"  oracles : {artifact_info['oracles']}")
-    print(f"  lowered : {artifact_info['lowered']}")
-    print(f"  kernels : {artifact_info['kernels']}")
     print(f"  size    : {artifact_info['bytes']} bytes")
     return 0
 
@@ -518,14 +505,9 @@ def _cmd_bench(args) -> int:
         threshold=args.threshold,
         profile=args.profile,
         pipeline=args.pipeline,
-        opstats=args.opstats,
     )
     write_bench(payload, args.output)
     print(format_bench(payload))
-    if args.opstats:
-        from repro.experiments.bench import format_opstats
-
-        print(format_opstats(payload))
     print(f"wrote {args.output}")
     if args.compare:
         with open(args.compare) as handle:
@@ -852,11 +834,10 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument("--cache-dir", default=None)
     cache_parser.add_argument(
         "--only",
-        choices=("all", "results", "artifacts", "lowered", "kernels"),
+        choices=("all", "results", "artifacts"),
         default="all",
         help="scope for clear: simulation results, compiled artifacts "
-        "(every kind), only lowered-region tables, only codegen'd "
-        "kernel tables, or everything (default)",
+        "(every kind), or everything (default)",
     )
     cache_parser.set_defaults(func=_cmd_cache)
 
@@ -963,12 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also benchmark the compile pipeline's fast paths "
         "(artifact load vs compile, fast vs reference profiler, "
         "oracle load vs collection)",
-    )
-    bench_parser.add_argument(
-        "--opstats",
-        action="store_true",
-        help="report per-cell opcode frequencies, fused-region length "
-        "histograms and dynamic fused coverage (vector backend)",
     )
     bench_parser.add_argument(
         "--compare",

@@ -39,7 +39,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.compiler.loop_selection import LoopStats
 from repro.compiler.memdep.graph import DependenceGroup
@@ -52,7 +52,6 @@ from repro.experiments.cache import DEFAULT_CACHE_DIR
 from repro.ir.module import ParallelLoop
 from repro.ir.serialize import (
     SerializeError,
-    module_content_hash,
     module_from_state,
     module_to_state,
 )
@@ -65,8 +64,6 @@ ARTIFACT_SCHEMA_VERSION = 1
 #: Artifact kinds (the filename suffix).
 KIND_COMPILED = "compiled"
 KIND_ORACLE = "oracle"
-KIND_LOWERED = "lowered"
-KIND_KERNEL = "kernel"
 
 
 # ---------------------------------------------------------------------------
@@ -551,80 +548,10 @@ class ArtifactStore:
             oracle_to_state(oracle),
         )
 
-    def lowered_key(self, module, cost_sig) -> str:
-        """Key for a vector-backend region table.
-
-        Keyed on the exact module content (iids included — regions
-        carry instruction indices) and the engine cost signature the
-        clock-offset tables were generated under.
-        """
-        return artifact_key(
-            KIND_LOWERED, module.name, 0.0, "", "",
-            extra={
-                "module": module_content_hash(module),
-                "cost": list(cost_sig),
-            },
-        )
-
-    def load_lowered(self, module, cost_sig) -> Optional[Dict]:
-        """Stored lowered-region state, or None (counts hit/miss).
-
-        Returns the raw state dict: revalidation against the decoded
-        program (and the stale-table fallback) happens in
-        ``repro.ir.lower.lowered_for``.
-        """
-        payload = self._get(self.lowered_key(module, cost_sig), KIND_LOWERED)
-        if payload is None:
-            _bump("misses")
-            return None
-        _bump("hits")
-        return payload
-
-    def save_lowered(self, module, cost_sig, state: Dict) -> None:
-        self._put(self.lowered_key(module, cost_sig), KIND_LOWERED, state)
-
-    def kernel_key(self, module, cost_sig) -> str:
-        """Key for a codegen'd kernel table (extended region sources).
-
-        Keyed on the exact module content × engine cost signature ×
-        codegen schema version: kernel source embeds clock constants
-        derived from the cost model, and any change to the emitter's
-        ABI or templates must invalidate every stored kernel.
-        """
-        from repro.ir import codegen
-
-        return artifact_key(
-            KIND_KERNEL, module.name, 0.0, "", "",
-            extra={
-                "module": module_content_hash(module),
-                "cost": list(cost_sig),
-                "codegen": codegen.CODEGEN_SCHEMA_VERSION,
-            },
-        )
-
-    def load_kernels(self, module, cost_sig) -> Optional[Dict]:
-        """Stored extended-region state (kernel sources), or None.
-
-        Returns the raw state dict; revalidation against the decoded
-        program and recompilation of the persisted sources happen in
-        ``repro.ir.lower.LoweredProgram.from_state``.
-        """
-        payload = self._get(self.kernel_key(module, cost_sig), KIND_KERNEL)
-        if payload is None:
-            _bump("misses")
-            return None
-        _bump("hits")
-        return payload
-
-    def save_kernels(self, module, cost_sig, state: Dict) -> None:
-        self._put(self.kernel_key(module, cost_sig), KIND_KERNEL, state)
-
     # -- management ----------------------------------------------------
     def info(self) -> Dict:
         """Entry counts and total size, for ``repro cache info``."""
-        counts = {
-            KIND_COMPILED: 0, KIND_ORACLE: 0, KIND_LOWERED: 0, KIND_KERNEL: 0,
-        }
+        counts = {KIND_COMPILED: 0, KIND_ORACLE: 0}
         size = 0
         if self.root.exists():
             for path in self.root.rglob("*.json"):
@@ -642,28 +569,16 @@ class ArtifactStore:
             "root": str(self.root),
             "compiled": counts[KIND_COMPILED],
             "oracles": counts[KIND_ORACLE],
-            "lowered": counts[KIND_LOWERED],
-            "kernels": counts[KIND_KERNEL],
             "entries": sum(counts.values()),
             "bytes": size,
         }
 
-    def clear(self, kinds: Optional[Sequence[str]] = None) -> int:
-        """Delete artifacts (all kinds, or only ``kinds``); returns count.
-
-        ``kinds`` lets ``repro cache clear --only lowered`` wipe the
-        per-machine lowered-region tables a sweep left behind without
-        discarding compiled workloads and oracles.
-        """
+    def clear(self) -> int:
+        """Delete every artifact file, of any kind; returns the count."""
         removed = 0
         if not self.root.exists():
             return 0
-        wanted = None if kinds is None else tuple(
-            f".{kind}.json" for kind in kinds
-        )
         for path in self.root.rglob("*.json"):
-            if wanted is not None and not path.name.endswith(wanted):
-                continue
             try:
                 path.unlink()
                 removed += 1
@@ -693,30 +608,7 @@ def configure(enabled: bool, root: Optional[str] = None) -> Optional[ArtifactSto
     """Install (or remove) the process-wide store and return it."""
     global _active
     _active = ArtifactStore(root) if enabled else None
-    _install_lowered_hooks()
     return _active
-
-
-def _install_lowered_hooks() -> None:
-    """Point repro.ir.lower's persistence seam at the active store.
-
-    With the store off, lowering still works — region tables are just
-    rebuilt per process instead of loaded.
-
-    Since the codegen backend, the seam stores *kernel* artifacts
-    (KIND_KERNEL: extended region tables with generated sources, keyed
-    by module content × cost signature × codegen schema version).
-    ``load_lowered``/``save_lowered`` remain for classic region tables
-    written by older runs; ``repro cache clear --only lowered`` still
-    removes those.
-    """
-    from repro.ir import lower
-
-    store = _active
-    if store is None:
-        lower.set_persistence(None, None)
-    else:
-        lower.set_persistence(store.load_kernels, store.save_kernels)
 
 
 def active_store() -> Optional[ArtifactStore]:

@@ -16,27 +16,13 @@ instructions, instrs_per_sec``):
 * ``fast``/``warm`` — best of ``repeat`` runs, each on a fresh engine
   over the already-compiled program (decode happens per engine, so the
   one-time decode cost is *inside* this number).
-* ``fast-vector``/``warm`` — same measurement with
-  ``backend="vector"`` (fused-region dispatch; byte-identity against
-  the first fast run is still enforced).  ``fused_fraction`` on these
-  records is the dynamic share of instructions executed inside fused
-  regions.  Region lowering is amortized across engines by the
-  per-module memo and the artifact store, matching production use.
 * ``slow``/``warm`` — same measurement with ``fast_path=False``.
 
 The ``speedups`` section divides warm fast throughput by warm slow
-throughput per cell (vector throughput rides along as
-``vector_instrs_per_sec``/``vector_speedup``), and
-``largest_workload`` singles out the cell with the most dynamic
-instructions — the acceptance criterion for the fast path is >= 3x
-there.  See ``docs/running_experiments.md`` for the checked-in
-baseline.
-
-``--opstats`` additionally reports, per (workload, scheme) cell,
-static opcode frequencies, fused-region counts and length histograms,
-and dynamic fused coverage; the same numbers are published to the
-process metrics registry (``bench_opcode`` counters and
-``bench_region_length`` histograms, labelled by workload and scheme).
+throughput per cell, and ``largest_workload`` singles out the cell
+with the most dynamic instructions — the acceptance criterion for the
+fast path is >= 3x there.  See ``docs/running_experiments.md`` for the
+checked-in baseline.
 
 ``--pipeline`` additionally benchmarks the *compile* side of the
 system with the same fast-vs-slow discipline, one ``phase ==
@@ -90,7 +76,6 @@ SCHEMA_FIELDS = (
     "wall_seconds",
     "instructions",
     "instrs_per_sec",
-    "fused_fraction",
 )
 
 
@@ -102,9 +87,7 @@ def _timed_run(program, config, oracle, parallel):
     return time.perf_counter() - started, engine, result
 
 
-def _record(
-    workload, scheme, mode, phase, result, wall, instructions, fused=0
-) -> Dict:
+def _record(workload, scheme, mode, phase, result, wall, instructions) -> Dict:
     return {
         "workload": workload,
         "scheme": scheme,
@@ -114,7 +97,6 @@ def _record(
         "wall_seconds": wall,
         "instructions": instructions,
         "instrs_per_sec": instructions / wall if wall > 0 else 0.0,
-        "fused_fraction": fused / instructions if instructions else 0.0,
     }
 
 
@@ -124,15 +106,12 @@ def bench_workload(
     repeat: int = 3,
     threshold: float = 0.05,
     profiler: Optional[cProfile.Profile] = None,
-    opstats_out: Optional[Dict] = None,
 ) -> List[Dict]:
     """Benchmark one workload across schemes; returns result records.
 
     ``profiler``, when given, is enabled around the warm fast-path
     runs only, so the dump shows where simulation time goes rather
-    than compile time.  ``opstats_out``, when given, receives one
-    opcode/region stats entry per (workload, scheme) cell (and the
-    same data lands in the process metrics registry).
+    than compile time.
     """
     workload = get_workload(name)
     started = time.perf_counter()
@@ -153,7 +132,6 @@ def bench_workload(
             oracle = collect_oracle(program)
         parallel = scheme != "SEQ"
         fast = config.with_mode(fast_path=True)
-        vector = config.with_mode(fast_path=True, backend="vector")
         slow = config.with_mode(fast_path=False)
 
         # Cold: first fast-path run, charged with this workload's
@@ -168,8 +146,7 @@ def bench_workload(
         compile_seconds = 0.0
 
         baseline_state = result.to_state()
-        modes = (("fast", fast), ("fast-vector", vector), ("slow", slow))
-        vector_engine = None
+        modes = (("fast", fast), ("slow", slow))
         for mode, mode_config in modes:
             best = None
             for _ in range(max(1, repeat)):
@@ -188,45 +165,11 @@ def bench_workload(
                 record = _record(
                     name, scheme, mode, "warm",
                     result, wall, engine.instructions,
-                    fused=engine.fused_instructions,
                 )
                 if best is None or record["wall_seconds"] < best["wall_seconds"]:
                     best = record
-            if mode == "fast-vector":
-                vector_engine = engine
             records.append(best)
-        if opstats_out is not None and vector_engine is not None:
-            opstats_out[(name, scheme)] = _cell_opstats(
-                name, scheme, vector_engine
-            )
     return records
-
-
-def _cell_opstats(name: str, scheme: str, engine) -> Dict:
-    """Opcode/region stats for one bench cell, published to the registry."""
-    from repro.obs.registry import process_registry
-
-    stats = engine.opstats()
-    instructions = engine.instructions
-    stats["backend"] = engine.backend
-    stats["dynamic_instructions"] = instructions
-    stats["fused_instructions"] = engine.fused_instructions
-    stats["fused_fraction"] = (
-        engine.fused_instructions / instructions if instructions else 0.0
-    )
-    registry = process_registry()
-    histogram = registry.histogram(
-        "bench_region_length",
-        buckets=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-        workload=name, scheme=scheme,
-    )
-    for length in stats["region_lengths"]:
-        histogram.observe(float(length))
-    for opcode, count in stats["opcodes"].items():
-        registry.counter(
-            "bench_opcode", workload=name, scheme=scheme, opcode=opcode
-        ).inc(count)
-    return stats
 
 
 def _pipeline_record(workload, scheme, mode, wall, instructions) -> Dict:
@@ -239,7 +182,6 @@ def _pipeline_record(workload, scheme, mode, wall, instructions) -> Dict:
         "wall_seconds": wall,
         "instructions": instructions,
         "instrs_per_sec": instructions / wall if wall > 0 else 0.0,
-        "fused_fraction": 0.0,
     }
 
 
@@ -363,15 +305,6 @@ def summarize(records: Sequence[Dict]) -> Dict:
                 else 0.0
             ),
         }
-        vector = modes.get("fast-vector")
-        if vector is not None:
-            cell["vector_instrs_per_sec"] = vector["instrs_per_sec"]
-            cell["vector_speedup"] = (
-                vector["instrs_per_sec"] / fast["instrs_per_sec"]
-                if fast["instrs_per_sec"] > 0
-                else 0.0
-            )
-            cell["fused_fraction"] = vector.get("fused_fraction", 0.0)
         speedups.append(cell)
     largest = max(
         (s for s in speedups if s["phase"] == "warm"),
@@ -388,19 +321,16 @@ def run_bench(
     threshold: float = 0.05,
     profile: Optional[str] = None,
     pipeline: bool = False,
-    opstats: bool = False,
 ) -> Dict:
     """Run the benchmark matrix and return the ``BENCH_engine`` payload."""
     names = list(workloads) if workloads else [w.name for w in all_workloads()]
     profiler = cProfile.Profile() if profile else None
     records: List[Dict] = []
-    opstats_cells: Optional[Dict] = {} if opstats else None
     for name in names:
         records.extend(
             bench_workload(
                 name, schemes=schemes, repeat=repeat,
                 threshold=threshold, profiler=profiler,
-                opstats_out=opstats_cells,
             )
         )
         if pipeline:
@@ -417,11 +347,6 @@ def run_bench(
         "repeat": repeat,
         "results": records,
     }
-    if opstats_cells is not None:
-        payload["opstats"] = [
-            dict(stats, workload=workload, scheme=scheme)
-            for (workload, scheme), stats in sorted(opstats_cells.items())
-        ]
     payload.update(summarize(records))
     if profiler is not None:
         profiler.dump_stats(profile)
@@ -438,10 +363,7 @@ def compare_bench(
     Matches cells by (workload, scheme) between the two payloads'
     ``speedups`` sections and flags any cell whose current warm
     fast-path throughput fell more than ``tolerance`` (a fraction)
-    below the baseline.  When both payloads carry vector-backend
-    throughput for a cell (``vector_instrs_per_sec``), that throughput
-    is gated with the same tolerance — a vector regression fails the
-    cell even if the tuple path held up.  Baseline cells the current
+    below the baseline.  Baseline cells the current
     run did not benchmark are reported as ``skipped`` (subset runs —
     CI smoke benches one workload against the full checked-in
     baseline); cells new in the current run are reported as ``new``.
@@ -475,16 +397,6 @@ def compare_bench(
                 current_instrs_per_sec=cur_ips,
                 ratio=ratio,
             )
-            base_vec = base_cell.get("vector_instrs_per_sec")
-            cur_vec = cur_cell.get("vector_instrs_per_sec")
-            if base_vec is not None and cur_vec is not None:
-                vector_ratio = cur_vec / base_vec if base_vec > 0 else 1.0
-                entry.update(
-                    baseline_vector_instrs_per_sec=base_vec,
-                    current_vector_instrs_per_sec=cur_vec,
-                    vector_ratio=vector_ratio,
-                )
-                ok = ok and vector_ratio >= 1.0 - tolerance
             entry["status"] = "ok" if ok else "regressed"
             if not ok:
                 regressions += 1
@@ -497,7 +409,7 @@ def format_compare(comparison: Dict) -> str:
     tolerance = comparison["tolerance"]
     lines = [
         f"{'workload':<14} {'scheme':<8} {'baseline i/s':>13} "
-        f"{'current i/s':>13} {'ratio':>7} {'vec':>6}  status"
+        f"{'current i/s':>13} {'ratio':>7}  status"
     ]
     skipped = 0
     for cell in comparison["cells"]:
@@ -507,16 +419,14 @@ def format_compare(comparison: Dict) -> str:
         if cell["ratio"] is None:
             lines.append(
                 f"{cell['workload']:<14} {cell['scheme']:<8} "
-                f"{'-':>13} {'-':>13} {'-':>7} {'-':>6}  {cell['status']}"
+                f"{'-':>13} {'-':>13} {'-':>7}  {cell['status']}"
             )
             continue
-        vector_ratio = cell.get("vector_ratio")
-        vector_text = f"{vector_ratio:.2f}" if vector_ratio is not None else "-"
         lines.append(
             f"{cell['workload']:<14} {cell['scheme']:<8} "
             f"{cell['baseline_instrs_per_sec']:>13.0f} "
             f"{cell['current_instrs_per_sec']:>13.0f} "
-            f"{cell['ratio']:>7.2f} {vector_text:>6}  {cell['status']}"
+            f"{cell['ratio']:>7.2f}  {cell['status']}"
         )
     if skipped:
         lines.append(f"({skipped} baseline cell(s) not benchmarked this run)")
@@ -526,38 +436,6 @@ def format_compare(comparison: Dict) -> str:
         if n
         else f"all cells within {tolerance:.0%} of baseline"
     )
-    return "\n".join(lines)
-
-
-def format_opstats(payload: Dict) -> str:
-    """Human-readable opcode/region stats (``repro bench --opstats``)."""
-    cells = payload.get("opstats") or []
-    if not cells:
-        return "no opstats collected (vector backend unavailable?)"
-    lines = []
-    for cell in cells:
-        lengths = cell["region_lengths"]
-        lines.append(
-            f"{cell['workload']}/{cell['scheme']} [{cell['backend']}]: "
-            f"{cell['regions']} fused region(s), "
-            f"{cell['fused_static']}/{cell['static_instructions']} static "
-            f"ops fused, {cell['folded_ops']} folded, "
-            f"{cell['fused_fraction']:.0%} of "
-            f"{cell['dynamic_instructions']} dynamic instrs in regions"
-        )
-        if lengths:
-            lines.append(
-                f"  region lengths: min {min(lengths)} "
-                f"median {sorted(lengths)[len(lengths) // 2]} "
-                f"max {max(lengths)}"
-            )
-        top = sorted(
-            cell["opcodes"].items(), key=lambda kv: -kv[1]
-        )[:8]
-        lines.append(
-            "  opcodes: "
-            + "  ".join(f"{op}:{count}" for op, count in top)
-        )
     return "\n".join(lines)
 
 
@@ -571,19 +449,14 @@ def format_bench(payload: Dict) -> str:
     """Human-readable summary table for the CLI."""
     lines = [
         f"{'workload':<14} {'scheme':<8} {'instrs':>8} "
-        f"{'fast i/s':>12} {'vector i/s':>12} {'fused':>6} "
+        f"{'fast i/s':>12} "
         f"{'slow i/s':>12} {'speedup':>8}"
     ]
     for cell in payload["speedups"]:
-        vector = cell.get("vector_instrs_per_sec")
-        vector_text = f"{vector:.0f}" if vector is not None else "-"
-        fused = cell.get("fused_fraction")
-        fused_text = f"{fused:.0%}" if fused is not None else "-"
         lines.append(
             f"{cell['workload']:<14} {cell['scheme']:<8} "
             f"{cell['instructions']:>8} "
             f"{cell['fast_instrs_per_sec']:>12.0f} "
-            f"{vector_text:>12} {fused_text:>6} "
             f"{cell['slow_instrs_per_sec']:>12.0f} "
             f"{cell['speedup']:>7.2f}x"
         )

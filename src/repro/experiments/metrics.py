@@ -219,20 +219,6 @@ class RunMetrics:
                         ),
                     }
                 )
-        from repro.obs.registry import process_registry
-
-        fallbacks = sum(
-            metric.value
-            for metric in process_registry()
-            if getattr(metric, "name", "") == "backend_fallback"
-        )
-        if fallbacks:
-            rows.append(
-                {
-                    "metric": "backend fallbacks",
-                    "value": f"{fallbacks:.0f} (vector -> tuples)",
-                }
-            )
         sim = self.sim_counters()
         if sim:
             def total(prefix: str) -> float:

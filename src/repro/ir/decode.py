@@ -18,15 +18,6 @@ costs once per *static* instruction instead, producing flat tuples::
   (immediates and resolved global addresses) or ``str`` for register
   names — resolved at run time with ``v if type(v) is int else regs[v]``.
 
-Each :class:`DecodedBlock` also carries ``chunk_end``: for every
-instruction index ``i``, the end of the maximal run of *pure*
-instructions starting at ``i`` (``chunk_end[i] == i`` when the
-instruction is ordering-relevant).  Pure instructions touch only the
-executing run's private registers and clock, so the TLS scheduler may
-execute a whole chunk in one iteration without changing which
-interleavings the violation rules can observe; see
-``docs/simulator.md``.
-
 Decoded programs are cached per *engine instance*, never on the module:
 compiler passes mutate modules in place between runs, and decode is
 cheap (one pass over the static instructions actually executed).
@@ -65,22 +56,6 @@ from repro.ir.operands import GlobalRef, Imm, Reg
 # instructions the TLS scheduler must order globally.  The engine's
 # free-running turn loop relies on this layout: ``code <= OP_CONDBR``
 # means "no other epoch can observe this instruction".
-# Negative opcode reserved for the vector backend's fused superops
-# (see repro.ir.lower): ``code < 0`` dispatches before every ordinary
-# comparison, and the superop tuple carries the original head op so the
-# engines can fall back to per-op execution mid-region.  Layout:
-# ``(OP_FUSED, total_dt, head_op, fn_trace, fn_clock, n, fn_plain,
-# region)``.
-OP_FUSED = -1
-
-# Extended superblock superop (see repro.ir.codegen): a generated
-# kernel that keeps executing across guarded branches and memory ops.
-# Layout: ``(OP_FUSED2, 0.0, head_op, fn_epoch, fn_seq, n, instrs,
-# region)`` — slots 2 and 5 mirror OP_FUSED (fallback head op, static
-# op count); ``instrs`` holds the Instr records of the path's
-# loads/stores in order (the kernels index it for engine delegation).
-OP_FUSED2 = -2
-
 OP_CONST = 0
 OP_MOVE = 1
 OP_BINOP = 2
@@ -108,37 +83,17 @@ PURE_OPCODES = frozenset(
 #: frames and branch targets only) — see the layout comment above.
 MAX_PRIVATE_OPCODE = OP_CONDBR
 
-#: Opcodes the vector backend may fuse into straight-line superops:
-#: pure, non-faulting, and independent of the forwarding flag.
-#: OP_SELECT and OP_RESUME (read or clear the forwarding flag) break
-#: regions even though they are pure; OP_DIVMOD (zero-divisor fault)
-#: is not in this set but fuses when its divisor is a nonzero
-#: constant (operand-dependent — see repro.ir.lower._fusible_op).
-FUSIBLE_OPCODES = frozenset((OP_CONST, OP_MOVE, OP_BINOP, OP_UNOP))
-
-
 class DecodeError(Exception):
     """An instruction the decoder cannot lower."""
 
 
 class DecodedBlock:
-    """Flat tuple form of one basic block plus its pure-chunk table."""
+    """Flat tuple form of one basic block."""
 
-    __slots__ = ("ops", "chunk_end")
+    __slots__ = ("ops",)
 
     def __init__(self, ops: List[tuple]):
         self.ops = ops
-        n = len(ops)
-        chunk_end = [0] * n
-        for i in range(n - 1, -1, -1):
-            if ops[i][0] in PURE_OPCODES:
-                if i + 1 < n and ops[i + 1][0] in PURE_OPCODES:
-                    chunk_end[i] = chunk_end[i + 1]
-                else:
-                    chunk_end[i] = i + 1
-            else:
-                chunk_end[i] = i
-        self.chunk_end = chunk_end
 
 
 class DecodedFunction:

@@ -135,9 +135,6 @@ class JobRecord:
     result: Optional[bytes] = None
     event_lines: Optional[List[str]] = None
     artifact_delta: Dict[str, int] = field(default_factory=dict)
-    #: kernel-compile accounting for the job (vector backend): a warm
-    #: worker must serve from the codegen memo, compiles == 0.
-    codegen_delta: Dict[str, int] = field(default_factory=dict)
     pipeline: List[Dict] = field(default_factory=list)
     #: the job's trace: finished spans (daemon- and worker-side).
     trace_id: str = ""
@@ -165,7 +162,6 @@ class JobRecord:
                 wall_s=self.wall_s,
                 worker_pid=self.worker_pid,
                 artifacts=dict(self.artifact_delta),
-                codegen=dict(self.codegen_delta),
                 pipeline=list(self.pipeline),
             )
             if self.profile is not None:
@@ -395,7 +391,6 @@ class Daemon:
         record.wall_s = outcome.get("wall_s", 0.0)
         record.worker_pid = outcome.get("pid", 0)
         record.artifact_delta = dict(outcome.get("artifact_delta", {}))
-        record.codegen_delta = dict(outcome.get("codegen_delta", {}))
         record.pipeline = list(outcome.get("pipeline", []))
         if outcome.get("ok"):
             record.state = DONE
@@ -610,7 +605,6 @@ class Daemon:
             record.source = pool_mod.SOURCE_MEMO
             record.result = memo
             record.artifact_delta = dict.fromkeys(artifacts_mod.counters(), 0)
-            record.codegen_delta = {"compiles": 0, "memo_hits": 0}
             self._log.debug("memo_hit", job=job_id, workload=job_request.workload,
                             bar=job_request.bar)
             self._complete(record)

@@ -26,9 +26,6 @@ SERVE_BARS = (
     "U", "C", "T", "H", "P", "PS", "PC", "B", "E", "L", "O", "SEQ"
 )
 
-#: Simulator backends a job may request (mirrors ``SimConfig.backend``).
-SERVE_BACKENDS = ("tuples", "vector")
-
 #: Job lifecycle states reported by the status endpoint.
 QUEUED = "queued"
 RUNNING = "running"
@@ -48,10 +45,6 @@ class JobRequest:
     ``events`` requests the typed event stream alongside the result;
     event streams are produced by a live engine (never cached), so
     they cost a real simulation even when the result itself is warm.
-
-    ``backend`` selects the simulator execution backend (byte-identical
-    results either way; ``vector`` dispatches fused regions and falls
-    back to ``tuples`` when numpy is unavailable).
 
     ``machine`` carries per-job machine-model overrides — a JSON
     object mapping :data:`repro.tlssim.config.MACHINE_FIELDS` names
@@ -74,7 +67,6 @@ class JobRequest:
     bar: str = "C"
     threshold: float = 0.05
     events: bool = False
-    backend: str = "tuples"
     machine: Tuple[Tuple[str, object], ...] = field(default=())
     predictor: Optional[str] = None
     profile: bool = False
@@ -90,7 +82,6 @@ class JobRequest:
             "bar": self.bar,
             "threshold": self.threshold,
             "events": self.events,
-            "backend": self.backend,
         }
         if self.machine:
             payload["machine"] = dict(self.machine)
@@ -105,8 +96,6 @@ class JobRequest:
         overrides: Dict = dict(self.machine)
         if self.predictor is not None:
             overrides["predictor"] = self.predictor
-        if self.backend != "tuples":
-            overrides["backend"] = self.backend
         return overrides
 
     @classmethod
@@ -114,7 +103,7 @@ class JobRequest:
         if not isinstance(payload, dict):
             raise ProtocolError("job request must be a JSON object")
         unknown = set(payload) - {
-            "workload", "bar", "threshold", "events", "backend",
+            "workload", "bar", "threshold", "events",
             "machine", "predictor", "profile",
         }
         if unknown:
@@ -144,12 +133,6 @@ class JobRequest:
         profile = payload.get("profile", False)
         if not isinstance(profile, bool):
             raise ProtocolError("'profile' must be a boolean")
-        backend = payload.get("backend", "tuples")
-        if not isinstance(backend, str) or backend not in SERVE_BACKENDS:
-            raise ProtocolError(
-                f"unknown backend {backend!r} "
-                f"(choose from {', '.join(SERVE_BACKENDS)})"
-            )
         machine = payload.get("machine", {})
         if machine is None:
             machine = {}
@@ -191,7 +174,6 @@ class JobRequest:
             bar=bar.upper(),
             threshold=float(threshold),
             events=events,
-            backend=backend,
             machine=tuple(sorted(
                 (name, (int(value) if isinstance(value, float)
                         and value.is_integer() else value))

@@ -97,7 +97,7 @@ def _validate_override(name: str, value: object) -> None:
         raise GridError(
             f"unknown config axis {name!r}; machine axes: {known}; any "
             "other SimConfig field (e.g. 'predictor', "
-            "'prediction_confidence', 'backend') is also sweepable"
+            "'prediction_confidence') is also sweepable"
         )
     try:
         _CONFIG_DEFAULTS.with_mode(**{name: value})

@@ -57,9 +57,6 @@ class MachineConfig:
     Field names deliberately match :class:`SimConfig`'s machine fields
     one-to-one so sweep-grid axes, job overrides, and serialized
     states name machine parameters the same way everywhere.
-    Non-power-of-two ``issue_width`` is *legal* here — the vector
-    backend's dyadic cost gate (``repro.ir.lower``) falls back to the
-    tuples backend for such machines instead of anything raising.
     """
 
     # ---- chip (Table 1) -------------------------------------------------
@@ -98,9 +95,7 @@ class MachineConfig:
             )
         if self.issue_width < 1:
             raise ValueError(
-                f"issue_width must be >= 1 (got {self.issue_width}); "
-                "non-power-of-two widths are legal — the vector backend "
-                "falls back to tuples for them"
+                f"issue_width must be >= 1 (got {self.issue_width})"
             )
         if self.reorder_buffer < 1:
             raise ValueError(
@@ -243,13 +238,6 @@ class SimConfig:
     #: layer.  Results are byte-identical to the slow path; this flag
     #: exists so equivalence tests and benchmarks can compare the two.
     fast_path: bool = True
-    #: Execution backend for the decoded fast path: ``"tuples"`` (the
-    #: reference per-op dispatch loop) or ``"vector"`` (region-lowered
-    #: fused superops, see ``repro.ir.lower``; falls back to tuples when
-    #: numpy is missing or the cost model fails the exactness gate).
-    #: Byte-identical results either way; requires ``fast_path=True``
-    #: to have any effect.
-    backend: str = "tuples"
 
     def with_mode(self, **overrides) -> "SimConfig":
         """Return a copy with the given fields replaced."""
@@ -278,11 +266,6 @@ class SimConfig:
             raise ValueError(
                 f"unknown predictor {self.predictor!r}; valid predictors: "
                 + ", ".join(repr(name) for name in sorted(PREDICTORS))
-            )
-        if self.backend not in ("tuples", "vector"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                "valid backends: 'tuples', 'vector'"
             )
 
 

@@ -55,7 +55,6 @@ from repro.ir.decode import (
     OP_CONDBR,
     OP_CONST,
     OP_DIVMOD,
-    OP_FUSED,
     OP_JUMP,
     OP_LOAD,
     OP_MOVE,
@@ -263,28 +262,10 @@ class TLSEngine:
             if self.fast
             else None
         )
-        #: resolved execution backend ("tuples" unless the vector
-        #: backend was requested *and* is available here); fused-region
-        #: counters are benchmark/opstats-only, like ``instructions``.
-        self.backend = "tuples"
-        self.fused_instructions = 0
-        self.fused_regions = 0
-        self._program = self._decoded
-        #: function name -> decoded/lowered blocks dict; lazily filled
-        #: flat cache so the hot loops pay one dict lookup per function
+        #: function name -> decoded blocks dict; lazily filled flat
+        #: cache so the hot loops pay one dict lookup per function
         #: switch instead of a method call per block fetch.
         self._fn_blocks: Dict[str, Dict] = {}
-        if self.fast and self.config.backend == "vector":
-            from repro.ir import lower as lower_mod
-
-            reason = lower_mod.unavailable_reason(self.config)
-            if reason is None:
-                self._program = lower_mod.lowered_for(
-                    self._decoded, self.config
-                )
-                self.backend = "vector"
-            else:
-                lower_mod.note_backend_fallback(reason)
         self._loop_infos: Dict[Tuple[str, str], _LoopInfo] = {}
         for annotation in module.parallel_loops:
             cfg = CFG(module.function(annotation.function))
@@ -300,20 +281,6 @@ class TLSEngine:
             self._loop_infos[(annotation.function, annotation.header)] = _LoopInfo(
                 annotation=annotation, blocks=frozenset(loop.blocks)
             )
-
-    def opstats(self) -> Dict:
-        """Static opcode/region stats of the program this engine walks.
-
-        Delegates to :func:`repro.ir.lower.program_opstats`; with the
-        tuples backend there are simply no fused regions.  Dynamic
-        coverage is ``fused_instructions / instructions`` after a run.
-        """
-        from repro.ir import lower as lower_mod
-
-        program = self._program
-        if program is None:  # slow path: decode on demand for stats
-            program = DecodedProgram(self.module, self.memory.addr_of, self._dt_of)
-        return lower_mod.program_opstats(program)
 
     def _check_scalar_channels(self, annotation, cfg, loop) -> None:
         """Every loop-carried register must have a scalar channel.
@@ -577,10 +544,8 @@ class TLSEngine:
         exit (including error exits).
         """
         config = self.config
-        dprog = self._program
+        dprog = self._decoded
         memory = self.memory
-        mem_load = memory.load
-        mem_store = memory.store
         caches = self.caches
         access = caches.access
         line_of = caches.line_of
@@ -590,8 +555,6 @@ class TLSEngine:
         loop_infos = self._loop_infos
         return_value: Optional[int] = None
         steps = 0
-        fused_i = 0
-        fused_r = 0
         clock = self.clock
         fn_blocks = self._fn_blocks
         fname = None
@@ -614,61 +577,6 @@ class TLSEngine:
                     while True:
                         op = ops[i]
                         code = op[0]
-                        if code < 0:
-                            # Fused region head (vector backend).  The
-                            # kernel runs the whole region atomically
-                            # when fuel allows and every live-in is
-                            # defined; otherwise re-dispatch the
-                            # original head op (interior indices hold
-                            # the original tuples) so faults and fuel
-                            # exhaustion replay the tuple path exactly.
-                            n = op[5]
-                            if steps + n > max_steps:
-                                op = op[2]
-                                code = op[0]
-                            elif code == OP_FUSED:
-                                try:
-                                    clock = op[4](regs, clock)
-                                except KeyError:
-                                    op = op[2]
-                                    code = op[0]
-                                else:
-                                    steps += n
-                                    fused_i += n
-                                    fused_r += 1
-                                    i += n
-                                    continue
-                            else:
-                                # OP_FUSED2: extended superblock kernel.
-                                # Returns None on a missing live-in, or
-                                # (label, index, clock, executed) — the
-                                # resume point after running as much of
-                                # the path as its guards allowed.  With
-                                # zero ops executed the head op replays
-                                # per-op (guaranteed progress).
-                                res = op[4](
-                                    regs, clock, self, frames, mem_load,
-                                    mem_store, access, line_of, obs,
-                                )
-                                if res is None:
-                                    op = op[2]
-                                    code = op[0]
-                                else:
-                                    label, idx, clock, executed = res
-                                    steps += executed
-                                    if executed:
-                                        fused_i += executed
-                                        fused_r += 1
-                                    if executed == 0:
-                                        op = op[2]
-                                        code = op[0]
-                                    elif label is None:
-                                        i = idx
-                                        continue
-                                    else:
-                                        frame.block = label
-                                        frame.index = idx
-                                        break
                         steps += 1
                         if steps > max_steps:
                             raise EngineError("sequential fuel exhausted")
@@ -815,8 +723,6 @@ class TLSEngine:
         finally:
             self.clock = clock
             self.instructions += steps
-            self.fused_instructions += fused_i
-            self.fused_regions += fused_r
         return return_value
 
 
@@ -1367,40 +1273,11 @@ class _RegionExecution:
             # (victims are always logically later than the violator,
             # so ties lose), which is where its clock — and therefore
             # the fail-slot accounting below — must stand.
-            #
-            # Fused kernels append (base clock, offset table) *chunks*
-            # instead of flat per-op entries (repro.ir.lower); only
-            # squashes read the trace, so flatten here — base + off is
-            # exactly the float a per-op append would have produced.
-            flat: List[float] = []
-            extend = flat.extend
-            append = flat.append
-            fused_spans: List[Tuple[int, int]] = []
-            for entry in trace:
-                if type(entry) is tuple:
-                    base = entry[0]
-                    start = len(flat)
-                    extend([base + off for off in entry[1]])
-                    fused_spans.append((start, len(flat)))
-                else:
-                    append(entry)
-            k = bisect_left(flat, self._now)
-            overshoot = len(flat) - k
+            k = bisect_left(trace, self._now)
+            overshoot = len(trace) - k
             if overshoot:
-                run.clock = flat[k]
+                run.clock = trace[k]
                 self.total_steps -= overshoot
-                # Keep the fused counter consistent with the step
-                # rollback: discard the chunk entries past the cut so
-                # fused coverage never exceeds the net instruction
-                # count (benchmark/opstats bookkeeping only).
-                if fused_spans:
-                    fused_over = sum(
-                        end - max(start, k)
-                        for start, end in fused_spans
-                        if end > k
-                    )
-                    if fused_over:
-                        self.engine.fused_instructions -= fused_over
         obs = self.engine.obs
         if obs is not None:
             obs.now = time
@@ -1845,7 +1722,7 @@ class _RegionExecution:
         """
         engine = self.engine
         config = self.config
-        dprog = engine._program
+        dprog = engine._decoded
         h_eff, h_log = self._peek_horizon(run)
         if h_eff is None:
             h_eff = float("inf")
@@ -1879,78 +1756,6 @@ class _RegionExecution:
                 while True:
                     op = ops[i]
                     code = op[0]
-                    if code < 0:
-                        # Fused region head (vector backend).  Classic
-                        # (OP_FUSED) regions are all-pure: the kernel
-                        # runs the whole region freely when neither
-                        # step limit can trip inside it and every
-                        # live-in is defined.  Kernels append (base,
-                        # offsets) rollback chunks to the trace, so
-                        # squash rollback is unchanged.  Otherwise
-                        # re-dispatch the original head op (interior
-                        # indices keep their tuples) and the tuple
-                        # path replays limits/faults exactly.
-                        n = op[5]
-                        if steps + n > max_epoch or tsteps + n > max_region:
-                            op = op[2]
-                            code = op[0]
-                        elif code == OP_FUSED:
-                            try:
-                                clock = op[3](regs, trace, clock)
-                            except KeyError:
-                                op = op[2]
-                                code = op[0]
-                            else:
-                                steps += n
-                                tsteps += n
-                                busy += float(n)
-                                engine.fused_instructions += n
-                                engine.fused_regions += 1
-                                i += n
-                                continue
-                        else:
-                            # OP_FUSED2: extended superblock kernel.
-                            # None on a missing live-in; otherwise
-                            # (label, index, clock, busy, executed,
-                            # ended).  ``ended`` means the kernel
-                            # already handed the run to the engine
-                            # (park/fault/squash/SAB) with run state
-                            # and step counters synced — return
-                            # without touching them.  A bail with
-                            # zero ops executed replays the head op
-                            # (guaranteed progress).
-                            res = op[3](
-                                regs, trace, clock, busy, steps,
-                                tsteps, run, frame, self, h_eff,
-                                h_log, logical, op[6],
-                            )
-                            if res is None:
-                                op = op[2]
-                                code = op[0]
-                            else:
-                                label, idx, clock, busy, executed, \
-                                    ended = res
-                                if executed:
-                                    engine.fused_instructions += executed
-                                    engine.fused_regions += 1
-                                if ended:
-                                    return
-                                steps += executed
-                                tsteps += executed
-                                if executed == 0:
-                                    op = op[2]
-                                    code = op[0]
-                                elif label is None:
-                                    i = idx
-                                    continue
-                                else:
-                                    run.clock = clock
-                                    run.busy_slots = busy
-                                    run.steps = steps
-                                    self.total_steps = tsteps
-                                    frame.block = label
-                                    frame.index = idx
-                                    break
                     if code <= OP_CONDBR:  # private: free-running
                         steps += 1
                         tsteps += 1

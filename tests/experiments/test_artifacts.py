@@ -271,30 +271,6 @@ class TestStoreManagement:
         assert store.clear() == 2
         assert store.info()["entries"] == 0
 
-    def test_info_counts_lowered_artifacts(self, tmp_path):
-        store = _store(tmp_path)
-        workload = get_workload("go")
-        compiled = bundle_for("go").compiled
-        store.save_compiled(workload, 0.05, compiled)
-        module = compiled.baseline
-        store.save_lowered(module, (4.0, 1.0), {"regions": []})
-        store.save_lowered(module, (8.0, 1.0), {"regions": []})
-        info = store.info()
-        assert info["lowered"] == 2
-        assert info["entries"] == 3  # compiled + 2 lowered tables
-
-    def test_clear_only_lowered(self, tmp_path):
-        """`repro cache clear --only lowered` keeps compiled binaries."""
-        store = _store(tmp_path)
-        workload = get_workload("go")
-        compiled = bundle_for("go").compiled
-        store.save_compiled(workload, 0.05, compiled)
-        store.save_lowered(compiled.baseline, (4.0, 1.0), {"regions": []})
-        removed = store.clear(kinds=(artifacts_mod.KIND_LOWERED,))
-        assert removed == 1
-        info = store.info()
-        assert info["lowered"] == 0 and info["compiled"] == 1
-
     def test_result_cache_ignores_artifacts(self, tmp_path):
         """Result-cache info/clear must not touch the sibling store."""
         root = str(tmp_path / "shared")

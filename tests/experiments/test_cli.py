@@ -1,8 +1,18 @@
 """The command-line interface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.experiments.artifacts import ArtifactStore
+from repro.experiments.runner import bundle_for
+from repro.workloads import get_workload
 
 
 class TestParser:
@@ -98,6 +108,35 @@ class TestCommands:
         assert "[FAIL]" not in out
         assert "2/2 claims reproduced, 10 skipped" in out
 
+    def test_cache_clear_empties_retired_artifact_kinds(
+        self, tmp_path, capsys
+    ):
+        # Older runs also stored region tables (``*.lowered.json``) and
+        # generated kernels (``*.kernel.json``); nothing reads them now,
+        # but info must still work and clear must still empty the root.
+        root = tmp_path / "old-store"
+        store = ArtifactStore(str(root))
+        store.save_compiled(get_workload("go"), 0.05, bundle_for("go").compiled)
+        for key, kind in (("ab12", "lowered"), ("cd34", "kernel"), ("cd56", "kernel")):
+            shard = store.root / key[:2]
+            shard.mkdir(parents=True, exist_ok=True)
+            (shard / f"{key}.{kind}.json").write_text('{"payload": {}}')
+        assert main(["cache", "info", "--cache-dir", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "compiled: 1" in out and "oracles : 0" in out
+        assert main([
+            "cache", "clear", "--only", "artifacts", "--cache-dir", str(root),
+        ]) == 0
+        assert "removed 4 artifact(s)" in capsys.readouterr().out
+        assert not store.root.exists()
+        assert main(["cache", "info", "--cache-dir", str(root)]) == 0
+        assert "compiled: 0" in capsys.readouterr().out
+
+    def test_retired_cache_clear_scopes_are_rejected(self):
+        for only in ("lowered", "kernels"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["cache", "clear", "--only", only])
+
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "results.md"
         assert main([
@@ -105,3 +144,29 @@ class TestCommands:
         ]) == 0
         text = target.read_text()
         assert "### Table 1" in text and "### Figure 10" in text
+
+
+def test_default_flow_never_imports_numpy(tmp_path):
+    """A fresh ``repro`` process runs with the standard library alone."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import repro.cli
+        from repro.experiments import artifacts, cache
+        from repro.experiments.runner import bundle_for
+
+        cache.configure(True, sys.argv[1])
+        artifacts.configure(True, sys.argv[1])
+        assert bundle_for("go").simulate("U").program_cycles > 0
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+        assert not loaded, loaded
+        """
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "store")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,423 +1,107 @@
-"""Codegen kernel layer (vector backend): compile/memo mechanics plus
-seeded-random property fuzzing against ``evalops``.
+"""The ``repro.ir.codegen`` stub, and straight-line kernels vs ``evalops``.
 
-The second-generation backend compiles per-region Python kernels; their
-contract is bit-identity with the tuple path, whose arithmetic *is*
-``evalops``.  Three fuzz surfaces pin that down:
-
-* classic ``_plain`` kernels called directly on randomized live-in
-  registers against a literal evalops walk of the decoded region
-  (including the ``INT64_MIN // -1`` wrap);
-* whole randomized programs — guarded forward branches (so extended
-  kernels both hit and miss their guards) and private loads/stores —
-  under the ``vector`` vs ``tuples`` interpreter backends;
-* randomized parallel TLS loops with scalar/memory wait-signal-check
-  traffic and deliberately conflicting shared stores, so speculative
-  store buffers fill, squash, and drain mid-kernel.
-
-Every generator is seeded (``random.Random(seed)``) — failures replay.
+``ir/codegen.py`` keeps only a zero :func:`compile_stats` for the
+perfbench trace ledger; the first test pins that.  The rest run seeded
+pure op soups — a straight-line ``work`` kernel over random live-ins
+biased toward the 64-bit wrap boundaries — on the decoded fast path
+and on the slow reference, and check both against a literal walk of
+the decoded ops through the ``evalops`` callables they carry, the
+``INT64_MIN // -1`` wrap on a live-in operand included.
 """
-
-import pytest
 
 from random import Random
 
-from repro.ir import codegen, lower
+import pytest
+
+from repro.ir import codegen
 from repro.ir.builder import ModuleBuilder
 from repro.ir.decode import (
     OP_BINOP,
     OP_CONST,
     OP_DIVMOD,
-    OP_FUSED,
-    OP_FUSED2,
+    OP_JUMP,
     OP_MOVE,
+    OP_RET,
     OP_UNOP,
     DecodedProgram,
 )
 from repro.ir.evalops import BINOP_FUNCS
-from repro.ir.interpreter import Interpreter, run_module
-from repro.ir.module import ChannelInfo, ParallelLoop
-from repro.ir.verifier import verify_module
+from repro.ir.interpreter import run_module
 from repro.tlssim.config import SimConfig
 from repro.tlssim.engine import TLSEngine
-
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
-
-#: Operand pool biased toward wrap boundaries, sign flips, and shift
-#: counts around the word size.
-FUZZ_VALUES = (
-    INT64_MIN, INT64_MIN + 1, -(1 << 32), -97, -3, -2, -1, 0, 1, 2, 3,
-    5, 63, 64, 65, 97, (1 << 31), (1 << 32), INT64_MAX - 1, INT64_MAX,
-)
-
-#: Binops legal in classic regions with arbitrary operands.
-PURE_BINOPS = (
-    "add", "sub", "mul", "and", "or", "xor", "shl", "shr",
-    "eq", "ne", "lt", "le", "gt", "ge",
-)
-
-#: Constant divisors for div/mod (register divisors break regions).
-DIVISORS = (-7, -3, -1, 2, 3, 5, 64)
-
-
-def _decoded(module):
-    return DecodedProgram(module, addr_of=lambda name: 0)
-
-
-# ---------------------------------------------------------------------------
-# compile layer
-# ---------------------------------------------------------------------------
-
-
-class TestCompileLayer:
-    def test_compile_is_memoized_by_source(self):
-        source = "def k_plain(regs):\n    regs['x'] = regs['x'] + 1\n"
-        codegen.clear_memo()
-        codegen.reset_stats()
-        first = codegen.compile_source(source, "t")
-        second = codegen.compile_source(source, "t")
-        assert first is second
-        stats = codegen.compile_stats()
-        assert stats["compiles"] == 1
-        assert stats["memo_hits"] == 1
-        assert stats["memo_size"] == 1
-
-    def test_namespace_is_builtin_free(self):
-        # Kernels may touch only their arguments (plus len/KeyError for
-        # the extended kernels' hoists); any builtin leak must raise.
-        namespace = codegen.compile_source(
-            "def k():\n    return abs(-1)\n", "t"
-        )
-        assert namespace["__builtins__"] == {}
-        with pytest.raises(NameError):
-            namespace["k"]()
-
-    def test_clear_memo_resets_footprint(self):
-        codegen.compile_source("def k():\n    return 1\n", "t")
-        assert codegen.compile_stats()["memo_size"] >= 1
-        codegen.clear_memo()
-        assert codegen.compile_stats()["memo_size"] == 0
-
-    def test_schema_version_covers_second_generation(self):
-        # Version 2 introduced wait/signal/check fusion and suffix
-        # kernels; stored kernel artifacts key on this.
-        assert codegen.CODEGEN_SCHEMA_VERSION >= 2
-        assert lower.LOWER_SCHEMA_VERSION >= 3
-
-
-# ---------------------------------------------------------------------------
-# classic kernels vs a literal evalops walk
-# ---------------------------------------------------------------------------
-
-
-def _pure_soup_module(rng, seeds=6):
-    """Entry seeds live-ins; ``work`` is one all-pure op soup + ret.
-
-    Ending ``work`` with ``ret`` (an extended-region breaker) keeps the
-    soup a single-span pure run, so lowering plants a *classic* region
-    whose ``_plain`` kernel we can call directly.
-    """
-    mb = ModuleBuilder("fuzz")
-    fb = mb.function("main")
-    fb.block("entry")
-    regs = []
-    for k in range(seeds):
-        fb.const(rng.choice(FUZZ_VALUES), dest=f"s{k}")
-        regs.append(f"s{k}")
-    fb.jump("work")
-    fb.block("work")
-    for k in range(rng.randrange(18, 36)):
-        dest = f"t{k}"
-        dice = rng.random()
-        if dice < 0.15:
-            fb.unop(rng.choice(("neg", "not")), rng.choice(regs), dest=dest)
-        elif dice < 0.30:
-            fb.binop(rng.choice(("div", "mod")), rng.choice(regs),
-                     rng.choice(DIVISORS), dest=dest)
-        else:
-            rhs = (rng.choice(regs) if rng.random() < 0.7
-                   else rng.choice(FUZZ_VALUES))
-            fb.binop(rng.choice(PURE_BINOPS), rng.choice(regs), rhs,
-                     dest=dest)
-        regs.append(dest)
-    acc = regs[-1]
-    for name in regs[-8:]:
-        acc = fb.binop("xor", acc, name)
-    fb.ret(acc)
-    module = mb.build()
-    verify_module(module)
-    return module
+from tests.tlssim.test_generated_programs import INT64_MAX, INT64_MIN, _pure_soup_module
 
 
 def _read(regs, operand):
     return regs[operand] if isinstance(operand, str) else operand
 
 
-def _evalops_walk(ops, start, length, live_ins):
-    """Reference execution of a pure decoded span straight off evalops.
+def _evalops_walk(program, labels):
+    """Reference execution of pure decoded blocks straight off evalops.
 
     Decoded binop/unop tuples carry the evalops callables themselves
-    (``op[4]``), so this walk *is* the evalops semantics.
+    (``op[4]``), so this walk *is* the evalops semantics.  Returns the
+    value of the final ``ret``.
     """
-    regs = dict(live_ins)
-    for op in ops[start:start + length]:
-        code = op[0]
-        if code == OP_CONST:
-            regs[op[3]] = op[4]
-        elif code == OP_MOVE:
-            regs[op[3]] = _read(regs, op[4])
-        elif code in (OP_BINOP, OP_DIVMOD):
-            regs[op[3]] = op[4](_read(regs, op[5]), _read(regs, op[6]))
-        elif code == OP_UNOP:
-            regs[op[3]] = op[4](_read(regs, op[5]))
-        else:  # pragma: no cover - generator emits pure ops only
-            raise AssertionError(f"unexpected opcode {code} in pure region")
-    return regs
+    regs = {}
+    blocks = program.function("main").blocks
+    for label in labels:
+        for op in blocks[label].ops:
+            code = op[0]
+            if code == OP_CONST:
+                regs[op[3]] = op[4]
+            elif code == OP_MOVE:
+                regs[op[3]] = _read(regs, op[4])
+            elif code in (OP_BINOP, OP_DIVMOD):
+                regs[op[3]] = op[4](_read(regs, op[5]), _read(regs, op[6]))
+            elif code == OP_UNOP:
+                regs[op[3]] = op[4](_read(regs, op[5]))
+            elif code == OP_RET:
+                return _read(regs, op[3])
+            elif code != OP_JUMP:  # pragma: no cover - pure soups only
+                raise AssertionError(f"unexpected opcode {code} in pure kernel")
+    raise AssertionError("kernel fell off its last block")  # pragma: no cover
+
+
+class TestCompileStats:
+    def test_stub_reports_no_compiles(self):
+        assert codegen.compile_stats() == {
+            "compiles": 0, "memo_hits": 0, "memo_size": 0,
+        }
 
 
 class TestClassicKernelFuzz:
     @pytest.mark.parametrize("seed", range(12))
     def test_plain_kernel_matches_evalops_on_random_live_ins(self, seed):
-        rng = Random(seed)
-        module = _pure_soup_module(rng)
-        decoded = _decoded(module)
-        block = lower.LoweredProgram(decoded).block("main", "work")
-        fused = [op for op in block.ops if op[0] == OP_FUSED]
-        assert fused, "pure soup must lower to a classic region"
-        ops = decoded.function("main").blocks["work"].ops
-        for superop in fused:
-            region, fn_plain = superop[7], superop[6]
-            for _ in range(8):
-                live_ins = {
-                    name: rng.choice(FUZZ_VALUES) for name in region.live_ins
-                }
-                got = dict(live_ins)
-                fn_plain(got)
-                want = _evalops_walk(
-                    ops, region.start, region.length, live_ins
-                )
-                assert got == want
+        module = _pure_soup_module(Random(seed))
+        want = _evalops_walk(
+            DecodedProgram(module, addr_of=lambda name: 0), ("entry", "work")
+        )
+        assert run_module(module).return_value == want
+        assert run_module(module, fast_path=False).return_value == want
 
     def test_divmod_wrap_on_live_in_operand(self):
-        # INT64_MIN // -1 wraps back to INT64_MIN (and mod to 0); the
-        # kernel must reproduce the evalops wrap on a *live-in* operand
+        # INT64_MIN // -1 wraps back to INT64_MIN (and mod to 0); both
+        # paths must reproduce the evalops wrap on a *live-in* operand
         # the constant folder cannot see.
-        mb = ModuleBuilder("wrap")
-        fb = mb.function("main")
-        fb.block("entry")
-        fb.const(INT64_MIN, dest="x")
-        fb.jump("work")
-        fb.block("work")
-        fb.binop("div", "x", -1, dest="q")
-        fb.binop("mod", "x", -1, dest="r")
-        fb.binop("xor", "q", "r", dest="o")
-        fb.ret("o")
-        module = mb.build()
-        block = lower.LoweredProgram(_decoded(module)).block("main", "work")
-        superop = next(op for op in block.ops if op[0] == OP_FUSED)
-        fn_plain = superop[6]
         for x in (INT64_MIN, INT64_MIN + 1, -1, 0, 7, INT64_MAX):
-            regs = {"x": x}
-            fn_plain(regs)
-            assert regs["q"] == BINOP_FUNCS["div"](x, -1), x
-            assert regs["r"] == BINOP_FUNCS["mod"](x, -1), x
-        regs = {"x": INT64_MIN}
-        fn_plain(regs)
-        assert regs["q"] == INT64_MIN  # the wrap itself
-
-
-# ---------------------------------------------------------------------------
-# randomized guarded-branch + private-memory programs (interpreter)
-# ---------------------------------------------------------------------------
-
-
-def _branchy_memory_module(rng, chain=4, size=64):
-    """A DAG of guarded blocks over random data with @buf loads/stores.
-
-    All branches are forward (guaranteed termination); guard outcomes
-    depend on fuzzed values, so the extended kernels' branch guards
-    both hold and mispredict across seeds.  Addresses mix constant
-    offsets with masked register arithmetic off the ``@buf`` global.
-    """
-    mb = ModuleBuilder("fuzz")
-    mb.global_var("buf", size)
-    fb = mb.function("main")
-    fb.block("entry")
-    # Seed registers are the only cross-block values: every block may
-    # read them and may overwrite them (defined on every path), while
-    # temporaries stay block-local — branches can skip whole blocks.
-    seeds = []
-    for k in range(5):
-        fb.const(rng.choice(FUZZ_VALUES), dest=f"s{k}")
-        seeds.append(f"s{k}")
-    for _ in range(6):  # scatter initial data
-        fb.store("@buf", rng.choice(seeds), offset=rng.randrange(size))
-    fb.jump("b0")
-    labels = [f"b{k}" for k in range(chain)] + ["done"]
-    for i in range(chain):
-        fb.block(labels[i])
-        local = list(seeds)
-        for _ in range(rng.randrange(4, 9)):
-            rhs = (rng.choice(local) if rng.random() < 0.6
-                   else rng.choice(FUZZ_VALUES))
-            dest = rng.choice(seeds) if rng.random() < 0.3 else None
-            value = fb.binop(rng.choice(PURE_BINOPS), rng.choice(local),
-                             rhs, dest=dest)
-            local.append(dest or value)
-        if rng.random() < 0.5:  # constant-offset private access
-            local.append(fb.load("@buf", offset=rng.randrange(size)))
-        else:  # register-address access
-            slot = fb.binop("and", rng.choice(local), size - 1)
-            addr = fb.add("@buf", slot)
-            local.append(fb.load(addr))
-            if rng.random() < 0.5:
-                fb.store(addr, rng.choice(local))
-        cond = fb.binop(rng.choice(("lt", "eq", "gt", "le")),
-                        rng.choice(local), rng.choice(local))
-        on_false = rng.choice(labels[i + 1:])
-        fb.condbr(cond, labels[i + 1], on_false)
-    fb.block("done")
-    slot = fb.binop("and", rng.choice(seeds), size - 1)
-    out = fb.load(fb.add("@buf", slot))
-    fb.ret(fb.binop("xor", out, rng.choice(seeds)))
-    module = mb.build()
-    verify_module(module)
-    return module
-
-
-class TestBranchyMemoryFuzz:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_interpreter_vector_matches_tuples(self, seed):
-        # Classic-region surface: the untimed interpreter's vector
-        # backend runs ``_plain`` kernels between the memory ops.
-        module = _branchy_memory_module(Random(seed))
-        ref = run_module(module, backend="tuples")
-        interp = Interpreter(module, backend="vector")
-        got = interp.run()
-        assert got.return_value == ref.return_value
-        assert got.steps == ref.steps
-        assert got.memory.checksum() == ref.memory.checksum()
-        assert interp.fused_instructions > 0
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_engine_vector_matches_tuples(self, seed):
-        # Extended-region surface: the sequential engine dispatches
-        # OP_FUSED2 kernels whose branch guards hold on the lowered
-        # path and mispredict (bail to per-op dispatch) off it.
-        module = _branchy_memory_module(Random(seed))
-        vec_engine, vec = _run_engine(module, "vector", parallel=False)
-        ref_engine, ref = _run_engine(module, "tuples", parallel=False)
-        assert vec_engine.backend == "vector"
-        assert vec.to_state() == ref.to_state()
-        assert vec_engine.instructions == ref_engine.instructions
-        assert vec_engine.fused_regions > 0
-
-    def test_extended_regions_cover_guarded_memory_paths(self):
-        module = _branchy_memory_module(Random(1))
-        program = lower.LoweredProgram(
-            _decoded(module), extended=True, issue_width=4
-        )
-        codes = [
-            op[0]
-            for label in ("b0", "b1", "b2", "b3")
-            for op in program.block("main", label).ops
-        ]
-        assert OP_FUSED2 in codes
-
-
-# ---------------------------------------------------------------------------
-# randomized parallel TLS loops (engine: wait/signal/check + drains)
-# ---------------------------------------------------------------------------
-
-
-def _parallel_fuzz_module(rng, iters=24, stride=None):
-    """A forwarding-protocol loop with randomized body and conflicts.
-
-    The ``mem:c`` channel forwards ``@counter`` (wait/check/select/
-    resume consumer, store+signal producer); an *un-forwarded* random-
-    stride read-modify-write over the tiny ``@shared`` array guarantees
-    cross-epoch dependences, so epochs squash and their speculative
-    store buffers drain mid-region.
-    """
-    if stride is None:
-        stride = rng.choice((1, 3, 5, 7))
-    mb = ModuleBuilder("pfuzz")
-    mb.global_var("counter", 1, init=rng.randrange(1, 50))
-    mb.global_var("shared", 8)
-    mb.global_var("slots", iters * 8)
-    fb = mb.function("main")
-    fb.block("entry")
-    fb.const(0, dest="i")
-    fb.jump("loop")
-    fb.block("loop")
-    fb.wait("scalar:i", dest="i")
-    fb.add("i", 1, dest="i.fwd")
-    fb.signal("scalar:i", "i.fwd")
-    f_addr = fb.wait("mem:c", kind="addr")
-    fb.check(f_addr, "@counter")
-    f_val = fb.wait("mem:c", kind="value")
-    m_val = fb.load("@counter")
-    cur = fb.select(f_val, m_val)
-    fb.resume()
-    new = fb.add(cur, rng.randrange(1, 7))
-    fb.store("@counter", new)
-    fb.signal("mem:c", "@counter", kind="addr")
-    fb.signal("mem:c", new, kind="value")
-    slot = fb.mod(fb.mul("i", stride), 8)
-    addr = fb.add("@shared", slot)
-    fb.store(addr, fb.add(fb.load(addr), "i"))
-    acc = fb.const(rng.randrange(1, 9))
-    for k in range(rng.randrange(10, 24)):
-        acc = fb.binop(rng.choice(("add", "xor", "mul", "sub", "and", "or")),
-                       acc, rng.randrange(1, 13))
-    fb.store(fb.add("@slots", fb.mul("i", 8)), fb.binop("xor", acc, cur))
-    fb.move("i.fwd", dest="i")
-    cond = fb.binop("lt", "i", iters)
-    fb.condbr(cond, "loop", "done")
-    fb.block("done")
-    fb.ret(fb.load("@counter"))
-    module = mb.build()
-    module.parallel_loops.append(
-        ParallelLoop(
-            function="main",
-            header="loop",
-            scalar_channels=["scalar:i"],
-            mem_channels=["mem:c"],
-        )
-    )
-    module.add_channel(ChannelInfo(name="scalar:i", kind="scalar", scalar="i"))
-    module.add_channel(ChannelInfo(name="mem:c", kind="mem"))
-    verify_module(module)
-    return module
-
-
-def _run_engine(module, backend, parallel=True):
-    engine = TLSEngine(
-        module, config=SimConfig(backend=backend), parallel=parallel
-    )
-    result = engine.run()
-    return engine, result
-
-
-class TestParallelEngineFuzz:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_vector_matches_tuples_under_speculation(self, seed):
-        module = _parallel_fuzz_module(Random(seed))
-        vec_engine, vec = _run_engine(module, "vector")
-        ref_engine, ref = _run_engine(module, "tuples")
-        assert vec_engine.backend == "vector"
-        assert vec.to_state() == ref.to_state()
-        assert vec_engine.instructions == ref_engine.instructions
-        assert vec_engine.fused_regions > 0
-
-    def test_store_buffer_drain_path_is_exercised(self):
-        # stride 1 writes every epoch into the same @shared cells, so
-        # violations (and thus mid-region store-buffer drains) are
-        # guaranteed, not just likely.
-        module = _parallel_fuzz_module(Random(3), stride=1)
-        vec_engine, vec = _run_engine(module, "vector")
-        _, ref = _run_engine(module, "tuples")
-        assert vec.total_violations() > 0
-        assert vec.to_state() == ref.to_state()
-        assert vec_engine.fused_regions > 0
+            mb = ModuleBuilder("wrap")
+            fb = mb.function("main")
+            fb.block("entry")
+            fb.const(x, dest="x")
+            fb.jump("work")
+            fb.block("work")
+            fb.binop("div", "x", -1, dest="q")
+            fb.binop("mod", "x", -1, dest="r")
+            fb.binop("xor", "q", "r", dest="o")
+            fb.ret("o")
+            module = mb.build()
+            want = BINOP_FUNCS["div"](x, -1) ^ BINOP_FUNCS["mod"](x, -1)
+            if x == INT64_MIN:
+                assert want == INT64_MIN  # the wrap itself
+            for fast_path in (True, False):
+                assert run_module(module, fast_path=fast_path).return_value == want, x
+                engine = TLSEngine(
+                    module, config=SimConfig(fast_path=fast_path), parallel=False
+                )
+                assert engine.run().return_value == want, x

@@ -1,4 +1,4 @@
-"""Decode pass: opcode layout, operand lowering, pure-chunk table."""
+"""Decode pass: opcode layout and operand lowering."""
 
 from repro.ir.builder import ModuleBuilder
 from repro.ir.operands import GlobalRef
@@ -21,44 +21,13 @@ from repro.ir.decode import (
 
 #: opcodes the TLS scheduler must order globally (shared state)
 SHARED_OPCODES = (OP_LOAD, OP_STORE, OP_WAIT, OP_SIGNAL, OP_CHECK)
-#: private control flow: invisible to other epochs but ends a chunk
+#: private control flow: invisible to other epochs
 CONTROL_OPCODES = (OP_CALL, OP_RET, OP_JUMP, OP_CONDBR)
 
 
 def _decode(mb: ModuleBuilder, addrs=None) -> DecodedProgram:
     addrs = addrs or {}
     return DecodedProgram(mb.build(), addr_of=lambda name: addrs[name])
-
-
-def _mixed_program() -> DecodedProgram:
-    """A function mixing pure runs with every ordering-relevant class."""
-    mb = ModuleBuilder("t")
-    fb = mb.function("main")
-    fb.block("entry")
-    base = fb.alloc(4, dest="base")
-    a = fb.const(7, dest="a")
-    b = fb.add(a, 1, dest="b")
-    fb.mul(a, b, dest="c")
-    v = fb.load(base, dest="v")
-    d = fb.add(v, 1, dest="d")
-    fb.div(d, b, dest="e")
-    fb.store(base, d)
-    fb.signal("ch", d)
-    w = fb.wait("ch", dest="w")
-    fb.select(w, d, dest="s")
-    fb.check(base, base)
-    fb.call("helper", (b,), dest="r")
-    fb.condbr("r", "mid", "mid")
-    fb.block("mid")
-    fb.add("r", "s", dest="t")
-    fb.jump("exit")
-    fb.block("exit")
-    fb.sub("r", 1, dest="z")
-    fb.ret("z")
-    hb = mb.function("helper", params=("x",))
-    hb.block("entry")
-    hb.ret("x")
-    return _decode(mb)
 
 
 class TestOpcodeLayout:
@@ -118,43 +87,3 @@ class TestLowering:
         call = _decode(mb).block("main", "entry").ops[0]
         assert call[0] == OP_CALL
         assert call[6] is None and call[7] is None
-
-
-class TestChunkTable:
-    """``chunk_end`` delimits maximal pure runs and nothing more."""
-
-    def test_chunks_never_cross_ordering_boundaries(self):
-        program = _mixed_program()
-        checked = 0
-        for fn in ("main", "helper"):
-            for block in program.function(fn).blocks.values():
-                ops, chunk_end = block.ops, block.chunk_end
-                for i, op in enumerate(ops):
-                    if op[0] in PURE_OPCODES:
-                        end = chunk_end[i]
-                        assert i < end <= len(ops)
-                        # everything inside the chunk is pure ...
-                        assert all(
-                            ops[j][0] in PURE_OPCODES for j in range(i, end)
-                        )
-                        # ... and the chunk is maximal: it stops only at
-                        # the block end or an ordering-relevant op.
-                        if end < len(ops):
-                            assert ops[end][0] not in PURE_OPCODES
-                    else:
-                        # loads, stores, sync and branches end a chunk
-                        # at themselves: batching never crosses them.
-                        assert chunk_end[i] == i
-                        checked += 1
-        assert checked >= len(SHARED_OPCODES) + len(CONTROL_OPCODES)
-
-    def test_every_boundary_class_present_in_fixture(self):
-        # Guard the test above against a fixture refactor silently
-        # dropping an instruction class.
-        program = _mixed_program()
-        seen = set()
-        for fn in ("main", "helper"):
-            for block in program.function(fn).blocks.values():
-                seen |= {op[0] for op in block.ops}
-        for code in SHARED_OPCODES + CONTROL_OPCODES:
-            assert code in seen

@@ -54,6 +54,12 @@ class TestEvalBinop:
         top = (1 << 63) - 1
         assert eval_binop("add", top, 1) == -(1 << 63)
 
+    def test_int64_min_div_and_mod_by_minus_one_wrap(self):
+        # the one quotient outside the 64-bit range wraps back to itself
+        low = -(1 << 63)
+        assert eval_binop("div", low, -1) == low
+        assert eval_binop("mod", low, -1) == 0
+
     def test_comparisons_return_0_or_1(self):
         assert eval_binop("lt", 1, 2) == 1
         assert eval_binop("ge", 1, 2) == 0

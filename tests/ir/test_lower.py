@@ -1,124 +1,22 @@
-"""Region lowering (vector backend): codegen identity, segmentation,
-fallback behaviour, persistence, and the backend selection surface.
+"""Lowering IR to decoded tuples: diagnostics and the single-path surface.
 
-The contract under test is invisibility: the fused superops emitted by
-``repro.ir.lower`` must be bit-identical to the per-tuple path — same
-results, same step counts, same diagnostics at the same step — and
-every way the backend can be unavailable must degrade to ``tuples``
-loudly (``backend_fallback`` counter) but correctly.
+The decode pass (:mod:`repro.ir.decode`) lowers each instruction to a
+flat tuple that the fast path dispatches on.  Lowering must stay
+invisible in failure too: fuel exhaustion and undefined registers
+raise the same diagnostic on the fast path as on the slow reference.
+There is one fast path, so neither the interpreter nor ``SimConfig``
+accepts a ``backend`` choice any more.
 """
 
 import pytest
 
-from repro.ir import kernels
-from repro.ir import lower
 from repro.ir.builder import ModuleBuilder
-from repro.ir.decode import OP_FUSED, DecodedProgram
-from repro.ir.evalops import BINOP_FUNCS, UNOP_FUNCS
 from repro.ir.interpreter import Interpreter, InterpreterError, run_module
-from repro.obs.registry import process_registry
-
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
-
-#: Edge-heavy operand sweep: wrap boundaries, signs, shift counts.
-VALUES = (
-    INT64_MIN, INT64_MIN + 1, -(1 << 32), -97, -2, -1, 0, 1, 2, 3,
-    63, 64, 65, 97, (1 << 32), INT64_MAX - 1, INT64_MAX,
-)
-
-
-def _eval_template(expr: str, **bindings):
-    namespace = {"__builtins__": {}}
-    namespace.update(bindings)
-    return eval(expr, namespace)
-
-
-class TestCodegenIdentity:
-    """Generated expressions must mirror evalops bit for bit."""
-
-    @pytest.mark.parametrize("opname", sorted(lower._BINOP_TEMPLATES))
-    def test_binop_templates_match_evalops(self, opname):
-        template = lower._BINOP_TEMPLATES[opname]
-        reference = BINOP_FUNCS[opname]
-        for a in VALUES:
-            for b in VALUES:
-                got = _eval_template(template("a", "b"), a=a, b=b)
-                assert got == reference(a, b), f"{opname}({a}, {b})"
-
-    @pytest.mark.parametrize("opname", sorted(lower._UNOP_TEMPLATES))
-    def test_unop_templates_match_evalops(self, opname):
-        template = lower._UNOP_TEMPLATES[opname]
-        reference = UNOP_FUNCS[opname]
-        for a in VALUES:
-            got = _eval_template(template("a"), a=a)
-            assert got == reference(a), f"{opname}({a})"
-
-    @pytest.mark.parametrize("divisor", (-7, -3, -1, 1, 2, 3, 7, 64))
-    def test_trunc_div_expr_matches_evalops(self, divisor):
-        # The quotient expression pre-wrap must equal _trunc_div; the
-        # wrapped forms equal div/mod (incl. the INT64_MIN // -1 wrap).
-        expr = lower._trunc_div_expr("a", divisor)
-        for a in VALUES:
-            div = _eval_template(lower._wrap_expr(expr), a=a)
-            assert div == BINOP_FUNCS["div"](a, divisor), f"{a} div {divisor}"
-            mod_expr = lower._wrap_expr(
-                f"a - {expr} * {lower._atom(divisor)}"
-            )
-            mod = _eval_template(mod_expr, a=a)
-            assert mod == BINOP_FUNCS["mod"](a, divisor), f"{a} mod {divisor}"
-
-
-class TestSegmentation:
-    def test_fusible_runs_basic(self):
-        codes = [0, 1, 9, 0, 0, 0, 9, 0]
-        runs = kernels.fusible_runs(codes, frozenset((0, 1)), 2)
-        assert runs == [(0, 2), (3, 6)]
-
-    def test_fusible_runs_min_len_filters_singletons(self):
-        codes = [0, 9, 0, 9, 0, 0]
-        assert kernels.fusible_runs(codes, frozenset((0,)), 2) == [(4, 6)]
-
-    def test_fusible_runs_python_fallback_matches(self, monkeypatch):
-        codes = [0, 1, 9, 0, 0, 0, 9, 0, 0]
-        with_numpy = kernels.fusible_runs(codes, frozenset((0, 1)), 2)
-        monkeypatch.setattr(kernels, "_np", None)
-        without = kernels.fusible_runs(codes, frozenset((0, 1)), 2)
-        assert with_numpy == without
-
-    def test_clock_offsets_python_fallback_matches(self, monkeypatch):
-        dts = [0.25, 0.5, 1.0, 0.25, 2.0]
-        with_numpy = kernels.clock_offsets(dts)
-        monkeypatch.setattr(kernels, "_np", None)
-        assert kernels.clock_offsets(dts) == with_numpy
-        assert with_numpy[0][0] == 0.0
-
-    def test_divmod_constant_divisor_fuses(self):
-        program = _decoded(_divmod_module(divisor=3))
-        block = lower.LoweredProgram(program).block("work", "entry")
-        assert any(op[0] == OP_FUSED for op in block.ops)
-
-    def test_divmod_register_divisor_breaks_region(self):
-        from repro.ir.decode import OP_DIVMOD
-
-        program = _decoded(_divmod_module(divisor=None))
-        block = lower.LoweredProgram(program).block("work", "entry")
-        codes = [op[0] for op in block.ops]
-        assert OP_DIVMOD in codes
-        divmod_at = codes.index(OP_DIVMOD)
-        # A register-divisor div can fault, so no region may span it.
-        for region in lower.block_regions(block):
-            assert not (region.start <= divmod_at
-                        < region.start + region.length)
-
-    def test_dyadic_gate(self):
-        assert kernels.dyadic_exact(4, (1.0, 2.0, 12.0))
-        assert not kernels.dyadic_exact(3, (1.0, 2.0))
-        assert not kernels.dyadic_exact(4, (1.5,))
+from repro.tlssim.config import SimConfig
 
 
 def _arith_module(n=50):
-    """A loop whose body is one long fusible run (plus the backedge)."""
+    """A loop whose body is one long pure run (plus the backedge)."""
     mb = ModuleBuilder("t")
     fb = mb.function("main")
     fb.block("entry")
@@ -140,82 +38,14 @@ def _arith_module(n=50):
     return mb.build()
 
 
-def _mem_loop_module(n=40):
-    """A loop whose body mixes pure runs with a load and a store.
-
-    The sites make the block an extended region with mid-path resume
-    points, so lowering plants suffix kernels at the load index and at
-    the store index / store index + 1.
-    """
-    mb = ModuleBuilder("t")
-    mb.global_var("buf", 8)
-    fb = mb.function("main")
-    fb.block("entry")
-    fb.const(0, dest="i")
-    fb.jump("loop")
-    fb.block("loop")
-    fb.mul("i", 3, dest="a")
-    fb.add("a", 7, dest="b")
-    fb.load("@buf", offset=3, dest="v")
-    fb.binop("xor", "b", "v", dest="c")
-    fb.add("c", 1, dest="c2")
-    fb.store("@buf", "c2", offset=3)
-    fb.add("c2", 5, dest="d")
-    fb.binop("and", "d", 255, dest="e")
-    fb.add("i", 1, dest="i")
-    cond = fb.binop("lt", "i", n)
-    fb.condbr(cond, "loop", "done")
-    fb.block("done")
-    fb.ret(fb.load("@buf", offset=3))
-    return mb.build()
-
-
-def _divmod_module(divisor):
-    mb = ModuleBuilder("t")
-    fb = mb.function("work", params=("x",))
-    fb.block("entry")
-    if divisor is None:
-        fb.const(3, dest="d")
-        fb.div("x", "d", dest="q")   # register divisor: not fusible
-    else:
-        fb.div("x", divisor, dest="q")
-    fb.add("q", 1, dest="y")
-    fb.ret("y")
-    fb2 = mb.function("main")
-    fb2.block("entry")
-    r = fb2.call("work", (INT64_MIN,), dest="r")
-    fb2.ret(r)
-    return mb.build()
-
-
-def _decoded(module):
-    return DecodedProgram(module, addr_of=lambda name: 0)
-
-
 class TestInterpreterBackend:
-    def test_vector_matches_tuples(self):
-        module = _arith_module()
-        ref = run_module(module, backend="tuples")
-        interp = Interpreter(module, backend="vector")
-        got = interp.run()
-        assert got.return_value == ref.return_value
-        assert got.steps == ref.steps
-        assert interp.fused_instructions > 0
-
-    def test_divmod_wrap_inside_region(self):
-        # INT64_MIN / -1 wraps back to INT64_MIN; the fused kernel must
-        # reproduce the evalops wrap on a live-in (non-folded) operand.
-        module = _divmod_module(divisor=-1)
-        ref = run_module(module, backend="tuples")
-        got = run_module(module, backend="vector")
-        assert got.return_value == ref.return_value == INT64_MIN + 1
-
     def test_fuel_exhaustion_identical_diagnostic(self):
         module = _arith_module(n=10_000)
         with pytest.raises(InterpreterError) as slow:
-            run_module(module, backend="tuples", fuel=777)
+            run_module(module, fuel=777, fast_path=False)
         with pytest.raises(InterpreterError) as fast:
-            run_module(module, backend="vector", fuel=777)
+            run_module(module, fuel=777)
+        assert "fuel" in str(slow.value)
         assert str(fast.value) == str(slow.value)
 
     def test_undefined_register_identical_diagnostic(self):
@@ -227,250 +57,20 @@ class TestInterpreterBackend:
         fb.ret("b")
         module = mb.build()
         with pytest.raises(InterpreterError) as slow:
-            run_module(module, backend="tuples")
+            run_module(module, fast_path=False)
         with pytest.raises(InterpreterError) as fast:
-            run_module(module, backend="vector")
+            run_module(module)
         assert "undefined register" in str(slow.value)
         assert str(fast.value) == str(slow.value)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(InterpreterError, match="valid backends"):
-            Interpreter(_arith_module(), backend="bogus")
+        for backend in ("vector", "tuples"):
+            with pytest.raises(TypeError, match="backend"):
+                Interpreter(_arith_module(), backend=backend)
 
 
 class TestBackendGate:
     def test_unknown_simconfig_backend_rejected(self):
-        from repro.tlssim.config import SimConfig
-
-        with pytest.raises(ValueError, match="valid backends"):
-            SimConfig(backend="bogus")
-
-    def test_non_dyadic_cost_model_unavailable(self):
-        from repro.tlssim.config import SimConfig
-
-        assert lower.unavailable_reason(SimConfig()) is None
-        reason = lower.unavailable_reason(SimConfig(issue_width=3))
-        assert reason is not None and "dyadic" in reason
-
-    def test_numpy_missing_falls_back_with_counter(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-        assert lower.unavailable_reason() == "numpy unavailable"
-        module = _arith_module()
-        decoded = _decoded(module)
-        assert lower.lowered_for(decoded, None) is None
-        counter = process_registry().counter(
-            "backend_fallback", reason="numpy unavailable"
-        )
-        before = counter.value
-        ref = run_module(module, backend="tuples")
-        got = run_module(module, backend="vector")  # silently degrades
-        assert got.return_value == ref.return_value
-        assert got.steps == ref.steps
-        assert counter.value == before + 1
-
-    def test_engine_selects_and_falls_back(self):
-        from repro.experiments.runner import bundle_for, config_for
-        from repro.tlssim.engine import TLSEngine
-
-        bundle = bundle_for("go")
-        program = bundle.program("U")
-        vector = config_for("U").with_mode(backend="vector")
-        engine = TLSEngine(program, config=vector, parallel=True)
-        got = engine.run()
-        assert engine.backend == "vector"
-        assert engine.fused_instructions > 0
-        ref = TLSEngine(
-            program, config=vector.with_mode(backend="tuples"), parallel=True
-        ).run()
-        assert got.to_state() == ref.to_state()
-        # A non-dyadic cost model (issue width 3) refuses to lower and
-        # degrades to the tuple path with identical results.
-        counter = process_registry().counter(
-            "backend_fallback", reason="cost model off the dyadic grid"
-        )
-        before = counter.value
-        odd = vector.with_mode(issue_width=3)
-        fallback_engine = TLSEngine(program, config=odd, parallel=True)
-        fallback = fallback_engine.run()
-        assert fallback_engine.backend == "tuples"
-        assert fallback_engine.fused_instructions == 0
-        assert counter.value == before + 1
-        odd_ref = TLSEngine(
-            program, config=odd.with_mode(backend="tuples"), parallel=True
-        ).run()
-        assert fallback.to_state() == odd_ref.to_state()
-
-
-class TestPersistence:
-    def test_state_round_trip(self):
-        decoded = _decoded(_arith_module())
-        program = lower.LoweredProgram(decoded).lower_all()
-        state = program.to_state()
-        rebuilt = lower.LoweredProgram.from_state(decoded, state).lower_all()
-        original = [
-            (f, l, r.to_state()) for f, l, r in program.region_table()
-        ]
-        restored = [
-            (f, l, r.to_state()) for f, l, r in rebuilt.region_table()
-        ]
-        assert original and original == restored
-
-    def test_rebuilt_program_executes_identically(self):
-        module = _arith_module()
-        decoded = _decoded(module)
-        state = lower.LoweredProgram(decoded).lower_all().to_state()
-        ref = run_module(module, backend="tuples")
-        rebuilt = lower.LoweredProgram.from_state(decoded, state).lower_all()
-        interp = Interpreter(module, backend="vector")
-        # Seed the memo with the rebuilt program so the run uses it.
-        token = lower._module_token(module)
-        setattr(module, lower._MODULE_CACHE_ATTR, (token, {None: rebuilt}))
-        got = interp.run()
-        assert got.return_value == ref.return_value
-        assert got.steps == ref.steps
-
-    def test_version_mismatch_raises(self):
-        decoded = _decoded(_arith_module())
-        state = lower.LoweredProgram(decoded).lower_all().to_state()
-        state["version"] = 999
-        with pytest.raises(lower.LowerError, match="version"):
-            lower.LoweredProgram.from_state(decoded, state)
-
-    def test_stale_region_span_raises(self):
-        decoded = _decoded(_arith_module())
-        state = lower.LoweredProgram(decoded).lower_all().to_state()
-        (name, labels), = [
-            (n, ls) for n, ls in state["functions"].items() if ls
-        ]
-        label, regions = next(iter(labels.items()))
-        regions[0]["start"] = len(decoded.block(name, label).ops) - 1
-        with pytest.raises(lower.LowerError, match="does not match"):
-            lower.LoweredProgram.from_state(decoded, state)
-
-    def test_artifact_store_round_trip(self, tmp_path):
-        from repro.experiments import artifacts as artifacts_mod
-
-        module = _arith_module()
-        decoded = _decoded(module)
-        state = lower.LoweredProgram(decoded).lower_all().to_state()
-        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
-        cost_sig = (4.0, 1.0, 3.0)
-        assert store.load_lowered(module, cost_sig) is None
-        store.save_lowered(module, cost_sig, state)
-        assert store.load_lowered(module, cost_sig) == state
-        assert store.load_lowered(module, (2.0, 1.0, 3.0)) is None
-
-
-class TestSuffixKernels:
-    """Suffix kernels: extended superops planted at mid-path resume
-    indices so a turn ended at a site re-enters fused execution."""
-
-    def _ext_program(self):
-        module = _mem_loop_module()
-        decoded = _decoded(module)
-        program = lower.LoweredProgram(
-            decoded, extended=True, issue_width=4
-        )
-        return module, decoded, program
-
-    def test_suffix_kernels_planted_at_resume_points(self):
-        from repro.ir.decode import OP_FUSED2, OP_LOAD, OP_STORE
-
-        _, decoded, program = self._ext_program()
-        block = program.block("main", "loop")
-        ops = decoded.function("main").blocks["loop"].ops
-        load_at = next(i for i, op in enumerate(ops) if op[0] == OP_LOAD)
-        store_at = next(i for i, op in enumerate(ops) if op[0] == OP_STORE)
-        ext = [
-            r for r in lower.block_regions(block)
-            if isinstance(r, lower.ExtRegion)
-        ]
-        starts = {r.start for r in ext}
-        assert 0 in starts           # the home region at the run head
-        assert load_at in starts     # load park / horizon re-execute
-        assert store_at in starts    # store re-execute
-        assert store_at + 1 in starts  # post-store resume (SAB path)
-        # Each region owns exactly one OP_FUSED2 superop at its start.
-        fused_at = [
-            i for i, op in enumerate(block.ops) if op[0] == OP_FUSED2
-        ]
-        assert fused_at == sorted(starts)
-
-    def test_suffix_regions_survive_state_round_trip(self):
-        _, decoded, program = self._ext_program()
-        program.lower_all()
-        state = program.to_state()
-        rebuilt = lower.LoweredProgram.from_state(decoded, state).lower_all()
-        assert rebuilt.extended and rebuilt.issue_width == 4
-        original = [
-            (f, l, r.to_state()) for f, l, r in program.region_table()
-        ]
-        restored = [
-            (f, l, r.to_state()) for f, l, r in rebuilt.region_table()
-        ]
-        assert any(r.get("kind") == "ext" for _, _, r in original)
-        assert original == restored
-
-
-class TestKernelArtifacts:
-    def test_kernel_store_round_trip_without_relower(
-        self, tmp_path, monkeypatch
-    ):
-        # Acceptance criterion: a stored kernel table alone rebuilds
-        # the vector program — loading must never re-run the lowering
-        # analysis or the codegen emitters.
-        from repro.experiments import artifacts as artifacts_mod
-        from repro.ir import codegen
-        from repro.tlssim.config import SimConfig
-        from repro.tlssim.engine import TLSEngine
-
-        module = _mem_loop_module()
-        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
-        lower.set_persistence(store.load_kernels, store.save_kernels)
-        try:
-            ref = TLSEngine(
-                _mem_loop_module(),
-                config=SimConfig(backend="tuples"),
-                parallel=False,
-            ).run()
-            config = SimConfig(backend="vector")
-            first_engine = TLSEngine(module, config=config, parallel=False)
-            first = first_engine.run()
-            assert first_engine.backend == "vector"
-            assert first.to_state() == ref.to_state()
-            assert store.info()["kernels"] == 1
-
-            # Drop the in-process memo and forbid relowering: the
-            # second engine must come up entirely from the store.
-            delattr(module, lower._MODULE_CACHE_ATTR)
-
-            def relowered(*args, **kwargs):
-                raise AssertionError("relowered instead of loading kernels")
-
-            monkeypatch.setattr(codegen, "generate_classic", relowered)
-            monkeypatch.setattr(codegen, "generate_extended", relowered)
-            second_engine = TLSEngine(module, config=config, parallel=False)
-            second = second_engine.run()
-            assert second_engine.backend == "vector"
-            assert second.to_state() == first.to_state()
-        finally:
-            lower.set_persistence(None, None)
-
-
-class TestOpstats:
-    def test_program_opstats_counts(self):
-        decoded = _decoded(_arith_module())
-        program = lower.LoweredProgram(decoded).lower_all()
-        stats = lower.program_opstats(program)
-        assert stats["regions"] >= 1
-        assert stats["fused_static"] == sum(stats["region_lengths"])
-        assert stats["static_instructions"] == sum(stats["opcodes"].values())
-        assert stats["opcodes"]["binop"] >= 3
-        assert min(stats["region_lengths"]) >= lower.MIN_REGION_LEN
-
-    def test_plain_decoded_program_has_no_regions(self):
-        decoded = _decoded(_arith_module())
-        stats = lower.program_opstats(decoded)
-        assert stats["regions"] == 0
-        assert stats["fused_static"] == 0
-        assert stats["static_instructions"] > 0
+        for backend in ("vector", "tuples"):
+            with pytest.raises(TypeError, match="backend"):
+                SimConfig(backend=backend)

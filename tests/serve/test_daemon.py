@@ -35,9 +35,8 @@ from repro.serve.protocol import (
     canonical_result_bytes,
 )
 
-#: a memo hit's artifact and codegen deltas: nothing was loaded or built
+#: a memo hit's artifact delta: nothing was loaded or built
 ZERO_ARTIFACTS = {"corrupt": 0, "hits": 0, "misses": 0, "version_mismatch": 0}
-ZERO_CODEGEN = {"compiles": 0, "memo_hits": 0}
 
 #: The figure-10 bar sample the serve-smoke CI job pins.
 FIG10_BARS = ("U", "P", "H", "C", "B")
@@ -100,30 +99,6 @@ def test_status_lifecycle_and_artifact_counters(daemon_url):
         assert stats["jobs"]["states"] == {"done": 2}
         assert stats["latency"]["C"]["count"] == 2
         assert stats["queue"]["rejected"] == 0
-
-
-def test_warm_worker_serves_vector_jobs_without_recompiling(daemon_url):
-    """Second vector job on a warm worker: zero kernel compiles.
-
-    U and H share the baseline module and the default cost signature,
-    so the second request simulates for real (``computed``, distinct
-    memo key) but every region kernel must come from the worker's
-    in-process codegen memo — ``codegen.compiles == 0``.
-    """
-    with ServeClient(daemon_url) as client:
-        first = client.run(
-            JobRequest(workload="go", bar="U", backend="vector")
-        )
-        assert first["state"] == DONE, first.get("error")
-        assert first["source"] == "computed"
-        assert "compiles" in first["codegen"]
-
-        second = client.run(
-            JobRequest(workload="go", bar="H", backend="vector")
-        )
-        assert second["state"] == DONE, second.get("error")
-        assert second["source"] == "computed"
-        assert second["codegen"]["compiles"] == 0
 
 
 def test_concurrent_cold_submits_compile_once(daemon_url):
@@ -194,6 +169,18 @@ def test_http_errors(daemon_url):
             "GET", f"/v1/jobs/{done['job']}/events"
         )
         assert status == 404
+
+
+def test_retired_backend_field_is_a_400(daemon_url):
+    """There is one execution path; a ``backend`` field is an error."""
+    with ServeClient(daemon_url) as client:
+        for backend in ("vector", "tuples"):
+            status, payload = client._json(
+                "POST", "/v1/jobs",
+                {"workload": "go", "bar": "U", "backend": backend},
+            )
+            assert status == 400
+            assert payload["error"] == "unknown field(s): backend"
 
 
 def test_process_pool_serves_and_flushes_counters(make_daemon):
@@ -305,7 +292,7 @@ def test_memo_hit_is_answered_at_admission(make_daemon):
         assert hit["source"] == "memo"
         assert hit["worker_pid"] == 0
         assert hit["artifacts"] == ZERO_ARTIFACTS
-        assert hit["codegen"] == ZERO_CODEGEN
+        assert "codegen" not in hit
         assert [s["name"] for s in client.spans(accepted["job"])["spans"]] == [
             "http.submit"
         ]
@@ -320,8 +307,10 @@ def test_memo_hit_is_answered_at_admission(make_daemon):
         assert stats["latency"]["C"]["count"] == 2
         assert stats["jobs"]["memoized"] == 1
 
-        # The whole request is the key: another backend is a miss.
-        other = client.run(JobRequest(workload="go", bar="C", backend="vector"))
+        # The whole request is the key: another machine is a miss.
+        other = client.run(
+            JobRequest(workload="go", bar="C", machine=(("num_cores", 2),))
+        )
         assert other["worker_pid"] != 0
         assert len(admitted) == 1
     # Encoded once: the records and the memo share one bytes object.

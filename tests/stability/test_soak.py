@@ -94,56 +94,3 @@ def test_soak_warm_submits_do_not_leak(tmp_path, memory_tracker):
         )
     finally:
         embedded.stop()
-
-
-#: Back-to-back engine sims for the vector-backend soak; the nightly
-#: workflow can raise it like the daemon soak above.
-SIM_ITERS = int(os.environ.get("REPRO_SOAK_SIM_ITERS", "500"))
-
-
-@pytest.mark.stability
-def test_soak_vector_sims_bound_kernel_memo_and_buffers(memory_tracker):
-    """Repeated vector sims: kernel memo and region buffers stay flat.
-
-    The codegen source memo is process-wide; if per-sim state leaked
-    into it (or if region store buffers / rollback traces survived
-    their engine), 500 back-to-back simulations would show monotonic
-    growth.  Gates: memo footprint identical to its post-warm-up size,
-    byte-identical results first to last, tracemalloc growth bounded.
-    """
-    from repro.experiments.runner import bundle_for, config_for
-    from repro.ir import codegen
-    from repro.tlssim.engine import TLSEngine
-
-    bundle = bundle_for("go")
-    program = bundle.program("U")
-    config = config_for("U").with_mode(backend="vector")
-
-    # Warm-up pays the one-time lowering + kernel compiles.
-    warm_engine = TLSEngine(program, config=config, parallel=True)
-    reference = warm_engine.run().to_state()
-    assert warm_engine.backend == "vector"
-    assert warm_engine.fused_regions > 0
-    warm_memo = codegen.compile_stats()["memo_size"]
-    memory_tracker.snapshot(time.monotonic())
-
-    last = None
-    for i in range(SIM_ITERS):
-        engine = TLSEngine(program, config=config, parallel=True)
-        last = engine.run().to_state()
-        if i % 100 == 99:
-            assert last == reference
-            memory_tracker.snapshot(time.monotonic())
-
-    memory_tracker.snapshot(time.monotonic())
-    assert last == reference
-    stats = codegen.compile_stats()
-    assert stats["memo_size"] == warm_memo, (
-        f"kernel memo grew from {warm_memo} to {stats['memo_size']} "
-        f"entries over {SIM_ITERS} sims"
-    )
-    growth = memory_tracker.get_growth_ratio()
-    assert growth < MAX_GROWTH_RATIO, (
-        f"engine memory grew {growth:.2f}x over {SIM_ITERS} vector sims "
-        f"(bound {MAX_GROWTH_RATIO}x)"
-    )

@@ -32,6 +32,10 @@ MACHINE_POINTS = (
 )
 MACHINE_WORKLOADS = ("go", "m88ksim", "gzip_decomp")
 
+#: the fast-path variants checked against the slow reference; the id
+#: names the decoded-tuples dispatch, the one fast path the engine has
+FAST_PATHS = (pytest.param({"fast_path": True}, id="tuples"),)
+
 
 def _stream(program, config, oracle, parallel):
     bus = EventBus()
@@ -42,9 +46,9 @@ def _stream(program, config, oracle, parallel):
     return [e.key() for e in collector.events], result
 
 
-@pytest.mark.parametrize("backend", ("tuples", "vector"))
+@pytest.mark.parametrize("fast", FAST_PATHS)
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_event_streams_identical_on_every_bar(name, backend):
+def test_event_streams_identical_on_every_bar(name, fast):
     bundle = bundle_for(name)
     for bar in BARS:
         program = bundle.program(bar)
@@ -55,8 +59,7 @@ def test_event_streams_identical_on_every_bar(name, backend):
         parallel = bar != "SEQ"
         fast_stream, fast_result = _stream(
             program,
-            config.with_mode(fast_path=True, backend=backend),
-            oracle, parallel,
+            config.with_mode(**fast), oracle, parallel
         )
         slow_stream, slow_result = _stream(
             program, config.with_mode(fast_path=False), oracle, parallel
@@ -64,23 +67,23 @@ def test_event_streams_identical_on_every_bar(name, backend):
         fast_epoch = [k for k in fast_stream if k[0] in EPOCH_KINDS]
         slow_epoch = [k for k in slow_stream if k[0] in EPOCH_KINDS]
         assert fast_epoch == slow_epoch, (
-            f"{name}/{bar}: epoch-level event streams diverged ({backend})"
+            f"{name}/{bar}: epoch-level event streams diverged"
         )
         assert fast_stream == slow_stream, (
-            f"{name}/{bar}: full event streams diverged ({backend})"
+            f"{name}/{bar}: full event streams diverged"
         )
         # attaching the bus must not perturb the simulation itself
         assert fast_result.to_state() == slow_result.to_state(), (
-            f"{name}/{bar}: results diverged with the bus attached ({backend})"
+            f"{name}/{bar}: results diverged with the bus attached"
         )
 
 
-@pytest.mark.parametrize("backend", ("tuples", "vector"))
+@pytest.mark.parametrize("fast", FAST_PATHS)
 @pytest.mark.parametrize("machine", MACHINE_POINTS, ids=lambda m: "-".join(
     f"{k}{v}" for k, v in sorted(m.items())
 ))
 @pytest.mark.parametrize("name", MACHINE_WORKLOADS)
-def test_event_streams_identical_off_default_machine(name, machine, backend):
+def test_event_streams_identical_off_default_machine(name, machine, fast):
     """Byte-identity holds away from the paper's 4-core default too.
 
     The machine-model axes (core count, SAB capacity) change the
@@ -94,17 +97,16 @@ def test_event_streams_identical_off_default_machine(name, machine, backend):
         config = config_for(bar).with_mode(**machine)
         fast_stream, fast_result = _stream(
             program,
-            config.with_mode(fast_path=True, backend=backend),
-            None, True,
+            config.with_mode(**fast), None, True
         )
         slow_stream, slow_result = _stream(
             program, config.with_mode(fast_path=False), None, True
         )
         assert fast_stream == slow_stream, (
-            f"{name}/{bar}: event streams diverged at {machine} ({backend})"
+            f"{name}/{bar}: event streams diverged at {machine}"
         )
         assert fast_result.to_state() == slow_result.to_state(), (
-            f"{name}/{bar}: results diverged at {machine} ({backend})"
+            f"{name}/{bar}: results diverged at {machine}"
         )
 
 

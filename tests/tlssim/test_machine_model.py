@@ -4,9 +4,8 @@ The sweep lab leans on :class:`MachineConfig` rejecting nonsense
 configurations *before* any simulation runs, with messages precise
 enough to act on — each rejection here pins its message.  The
 threading tests check the machine slice actually reaches the engine's
-subsystems (caches, forwarding, SAB), and the dyadic-gate test pins
-the satellite rule that a non-power-of-two issue width *falls back*
-to the tuple backend instead of raising.
+subsystems (caches, forwarding, SAB), and a non-power-of-two issue
+width simulates identically on the fast and slow paths.
 """
 
 import pytest
@@ -56,8 +55,6 @@ class TestMachineConfigValidation:
             MachineConfig(lat_l1=-1)
 
     def test_non_power_of_two_issue_width_is_legal(self):
-        # the vector backend falls back for these; validation lets
-        # them through so the tuple backend can model them
         machine = MachineConfig(issue_width=3)
         assert machine.issue_width == 3
         with pytest.raises(ValueError, match="issue_width must be >= 1"):
@@ -148,23 +145,13 @@ class TestMachineThreading:
         ).run()
         assert tiny.program_cycles >= default.program_cycles
 
-    def test_non_power_of_two_issue_width_falls_back_not_raises(
-        self, bundle
-    ):
-        from repro.ir import lower as lower_mod
-
-        config = SimConfig(
-            issue_width=3, fast_path=True, backend="vector"
-        )
-        reason = lower_mod.unavailable_reason(config)
-        if reason == "numpy unavailable":
-            pytest.skip("vector backend not built here")
-        assert reason is not None and "issue width" in reason
-        engine = TLSEngine(bundle.program("U"), config=config, parallel=True)
-        assert engine.backend == "tuples"
-        tuples = TLSEngine(
+    def test_issue_width_three_fast_matches_slow(self, bundle):
+        # a width of 3 puts every clock charge off the dyadic grid
+        config = SimConfig(issue_width=3)
+        fast = TLSEngine(bundle.program("U"), config=config, parallel=True).run()
+        slow = TLSEngine(
             bundle.program("U"),
-            config=config.with_mode(backend="tuples"),
+            config=config.with_mode(fast_path=False),
             parallel=True,
         ).run()
-        assert engine.run().to_state() == tuples.to_state()
+        assert fast.to_state() == slow.to_state()
