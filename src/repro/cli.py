@@ -177,18 +177,7 @@ def _cmd_compile(args) -> int:
 def _cmd_simulate(args) -> int:
     _setup_run(args)
     bundle = bundle_for(args.workload, threshold=args.threshold)
-    config = SimConfig(num_cores=args.cores)
-    from repro.experiments.runner import config_for
-
-    result = bundle.simulate(args.bar, base=config) if args.cores == 4 else None
-    if result is None:
-        resolved = config_for(args.bar, config)
-        from repro.experiments.runner import BAR_PROGRAM
-
-        result = bundle.simulate_custom(
-            BAR_PROGRAM[args.bar], resolved,
-            oracle_needed=resolved.oracle_mode != "off",
-        )
+    result = bundle.simulate(args.bar, base=SimConfig(num_cores=args.cores))
     sequential = bundle.simulate("SEQ")
     time, segments = normalized_region_time(result, sequential)
     print(f"workload   : {args.workload}   bar {args.bar}   cores {args.cores}")
@@ -288,6 +277,7 @@ def _cmd_cache(args) -> int:
     print(f"  root    : {artifact_info['root']}")
     print(f"  compiled: {artifact_info['compiled']}")
     print(f"  oracles : {artifact_info['oracles']}")
+    print(f"  entries : {artifact_info['entries']}")
     print(f"  size    : {artifact_info['bytes']} bytes")
     return 0
 

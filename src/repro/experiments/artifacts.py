@@ -550,17 +550,19 @@ class ArtifactStore:
 
     # -- management ----------------------------------------------------
     def info(self) -> Dict:
-        """Entry counts and total size, for ``repro cache info``."""
+        """Entry counts and total size, for ``repro cache info``.
+
+        ``entries``/``bytes`` count every ``*.json`` file, whatever its
+        kind, so they match what :meth:`clear` removes.
+        """
         counts = {KIND_COMPILED: 0, KIND_ORACLE: 0}
-        size = 0
+        entries = size = 0
         if self.root.exists():
             for path in self.root.rglob("*.json"):
+                entries += 1
                 for kind in counts:
                     if path.name.endswith(f".{kind}.json"):
                         counts[kind] += 1
-                        break
-                else:
-                    continue
                 try:
                     size += path.stat().st_size
                 except OSError:
@@ -569,7 +571,7 @@ class ArtifactStore:
             "root": str(self.root),
             "compiled": counts[KIND_COMPILED],
             "oracles": counts[KIND_ORACLE],
-            "entries": sum(counts.values()),
+            "entries": entries,
             "bytes": size,
         }
 

@@ -1,8 +1,9 @@
 """Persistent on-disk cache for experiment results.
 
-Compilation and simulation are deterministic, so any (workload, bar)
-result is a pure function of the source tree and the simulation
-configuration.  This module memoizes those results *across* processes:
+Compilation and simulation are deterministic, so a simulation result
+is a pure function of the source tree and its identity: the program
+binary, the resolved simulation configuration and whether it runs in
+parallel.  This module memoizes those results *across* processes:
 entries are JSON files under ``.repro_cache/`` keyed by a content hash
 of everything the result depends on —
 
@@ -10,8 +11,11 @@ of everything the result depends on —
   the workload sources, the compiler pipeline, and the simulator), so
   any code change invalidates the whole cache;
 * the resolved :class:`~repro.tlssim.config.SimConfig` field values;
-* the workload name, profiling threshold, program binary, and bar
-  label.
+* the workload name, profiling threshold, program binary, and the
+  ``parallel`` flag.
+
+No bar or job label is part of a key: a bar and a custom run with the
+same identity share one entry.
 
 Writes are atomic (temp file + ``os.replace``) so a crashed or
 concurrent run never leaves a half-written entry, and reads are
@@ -94,16 +98,15 @@ def result_key(
     workload: str,
     threshold: float,
     kind: str,
-    label: str,
     program: str,
     config_state: Optional[Dict],
     extra: Optional[Dict] = None,
 ) -> str:
     """Content-hash key for one cached entry.
 
-    ``kind`` distinguishes entry families ('bar', 'custom', 'profile');
-    ``label`` is the bar label or metrics label; ``config_state`` is the
-    resolved simulation configuration (None for compile-only entries).
+    ``kind`` distinguishes entry families ('sim', 'profile');
+    ``config_state`` is the resolved simulation configuration (None for
+    compile-only entries).
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
@@ -111,7 +114,6 @@ def result_key(
         "workload": workload,
         "threshold": threshold,
         "kind": kind,
-        "label": label,
         "program": program,
         "config": config_state,
         "extra": extra or {},

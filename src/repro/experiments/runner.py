@@ -2,11 +2,15 @@
 
 Every figure/table experiment works from the same per-workload bundle:
 the compiled binaries (sequential / U / C / T), their dependence
-profiles, and memoized simulation results for each bar configuration.
-Compilation and simulation are deterministic, so results are memoized
-at three levels:
+profiles, and memoized simulation results.  A simulation result
+depends on its identity alone — (program attribute, resolved
+:class:`SimConfig`, parallel) — so a bar and a custom run that resolve
+to one identity (Figure 11's C and B stall modes are bars C and B)
+share one result.  Bar names and custom labels only name jobs in run
+metrics.  Compilation and simulation are deterministic, so results are
+memoized by identity at three levels:
 
-* **in-process** — per-bundle dicts, as before;
+* **in-process** — one memo dict per bundle;
 * **on disk** — the persistent result cache
   (:mod:`repro.experiments.cache`), when the CLI enables it;
 * **across cores** — :func:`execute_plan` schedules a plan of
@@ -102,6 +106,22 @@ def config_for(bar: str, base: Optional[SimConfig] = None) -> SimConfig:
     raise ValueError(f"unknown bar {bar!r}")
 
 
+#: What a simulation result depends on: (program attribute, resolved
+#: config, parallel).  Whether an oracle is attached follows from the
+#: config (``oracle_mode != "off"``), so it is not a fourth part.
+SimIdentity = Tuple[str, SimConfig, bool]
+
+
+def bar_identity(bar: str, base: Optional[SimConfig] = None) -> SimIdentity:
+    """The simulation identity of one bar on top of ``base``."""
+    return BAR_PROGRAM[bar], config_for(bar, base), bar != "SEQ"
+
+
+def profile_key(workload: str, threshold: float) -> str:
+    """The persistent-cache key of a workload's profile summary."""
+    return cache_mod.result_key(workload, threshold, "profile", "", None)
+
+
 @dataclass
 class WorkloadBundle:
     """Compiled binaries plus memoized simulations for one workload."""
@@ -110,8 +130,7 @@ class WorkloadBundle:
     threshold: float = 0.05
     _compiled: Optional[CompiledWorkload] = None
     _oracles: Dict[str, ValueOracle] = field(default_factory=dict)
-    _results: Dict[Tuple[str, SimConfig], SimResult] = field(default_factory=dict)
-    _custom: Dict[Tuple[str, SimConfig], SimResult] = field(default_factory=dict)
+    _memo: Dict[SimIdentity, SimResult] = field(default_factory=dict)
     _profile_summary: Optional[Dict] = None
     #: compile/oracle provenance records, kept so worker processes can
     #: ship them back to the parent's metrics collector.
@@ -195,76 +214,70 @@ class WorkloadBundle:
                 )
         return oracle
 
-    # -- cache plumbing --------------------------------------------------
-    def _disk_key(
-        self, kind: str, label: str, program: str, config: SimConfig, **extra
-    ) -> str:
+    # -- simulation ------------------------------------------------------
+    def sim_key(self, identity: SimIdentity) -> str:
+        """The persistent-cache key of one simulation identity."""
+        program, config, parallel = identity
         return cache_mod.result_key(
             self.workload.name,
             self.threshold,
-            kind,
-            label,
+            "sim",
             program,
             cache_mod.config_to_state(config),
-            extra=extra or None,
+            extra={"parallel": parallel},
         )
 
-    def _disk_get_result(self, key: str) -> Optional[SimResult]:
+    def _lookup(
+        self, identity: SimIdentity, label: str, kind: str
+    ) -> Optional[SimResult]:
+        """Memo, then disk, never computing; a disk hit seeds the memo
+        and is recorded under ``label``/``kind``."""
+        result = self._memo.get(identity)
+        if result is not None:
+            return result
         cache = cache_mod.active_cache()
-        if cache is None:
-            return None
-        payload = cache.get(key)
+        payload = cache.get(self.sim_key(identity)) if cache is not None else None
         if payload is None:
             return None
         try:
-            return SimResult.from_state(payload)
+            result = SimResult.from_state(payload)
         except (KeyError, TypeError):
             return None
-
-    def _disk_put_result(self, key: str, result: SimResult) -> None:
-        cache = cache_mod.active_cache()
-        if cache is not None:
-            cache.put(key, result.to_state())
-
-    # -- simulation ------------------------------------------------------
-    def simulate(self, bar: str, base: Optional[SimConfig] = None) -> SimResult:
-        """Run one bar; memoized on (bar, resolved config) and on disk."""
-        config = config_for(bar, base)
-        memo_key = (bar, config)
-        cached = self._results.get(memo_key)
-        if cached is not None:
-            return cached
-        disk_key = self._disk_key(
-            "bar", bar, BAR_PROGRAM[bar], config, parallel=(bar != "SEQ")
-        )
-        result = self._disk_get_result(disk_key)
-        if result is not None:
-            self._results[memo_key] = result
-            metrics_mod.current().record(
-                self.workload.name, bar, "bar", metrics_mod.SOURCE_CACHE, 0.0,
-                counters=result.counters,
-            )
-            return result
-        started = time.perf_counter()
-        program = self.program(bar)
-        oracle = None
-        if config.oracle_mode != "off":
-            oracle = self.oracle_for(BAR_PROGRAM[bar])
-        engine = TLSEngine(
-            program, config=config, oracle=oracle, parallel=(bar != "SEQ")
-        )
-        result = engine.run()
-        self._results[memo_key] = result
-        self._disk_put_result(disk_key, result)
+        self._memo[identity] = result
         metrics_mod.current().record(
-            self.workload.name,
-            bar,
-            "bar",
-            metrics_mod.SOURCE_COMPUTED,
-            time.perf_counter() - started,
+            self.workload.name, label, kind, metrics_mod.SOURCE_CACHE, 0.0,
             counters=result.counters,
         )
         return result
+
+    def _simulate(self, identity: SimIdentity, label: str, kind: str) -> SimResult:
+        """One simulation through memo, disk, then the engine.
+
+        ``label`` and ``kind`` only name the job in run metrics.
+        """
+        result = self._lookup(identity, label, kind)
+        if result is not None:
+            return result
+        started = time.perf_counter()
+        program, config, parallel = identity
+        oracle = self.oracle_for(program) if config.oracle_mode != "off" else None
+        result = TLSEngine(
+            getattr(self.compiled, program), config=config, oracle=oracle,
+            parallel=parallel,
+        ).run()
+        self._memo[identity] = result
+        cache = cache_mod.active_cache()
+        if cache is not None:
+            cache.put(self.sim_key(identity), result.to_state())
+        metrics_mod.current().record(
+            self.workload.name, label, kind, metrics_mod.SOURCE_COMPUTED,
+            time.perf_counter() - started, counters=result.counters,
+        )
+        return result
+
+    def simulate(self, bar: str, base: Optional[SimConfig] = None) -> SimResult:
+        """Run one bar on top of ``base``."""
+        return self._simulate(bar_identity(bar, base), bar, "bar")
 
     def simulate_custom(
         self,
@@ -273,47 +286,34 @@ class WorkloadBundle:
         oracle_needed: bool = False,
         label: Optional[str] = None,
     ) -> SimResult:
-        """Simulation with a bespoke config; memoized like a bar.
+        """Run ``program_attr`` in parallel under a bespoke config.
 
-        ``label`` names the job in run metrics (defaults to the
-        program attribute).
+        ``label`` names the job in run metrics (defaults to the program
+        attribute).  ``oracle_needed`` is ignored: an oracle is attached
+        exactly when ``config.oracle_mode != "off"``.  It is still
+        accepted because ``perfbench/flows.py`` passes it.
         """
-        label = label or program_attr
-        memo_key = (program_attr, config)
-        cached = self._custom.get(memo_key)
-        if cached is not None:
-            return cached
-        # The disk key deliberately omits the metrics label: (program,
-        # config) fully determines a custom result, and different call
-        # sites label the same simulation differently.
-        disk_key = self._disk_key("custom", "", program_attr, config)
-        result = self._disk_get_result(disk_key)
-        if result is not None:
-            self._custom[memo_key] = result
-            metrics_mod.current().record(
-                self.workload.name, label, "custom", metrics_mod.SOURCE_CACHE, 0.0,
-                counters=result.counters,
-            )
-            return result
-        started = time.perf_counter()
-        oracle = self.oracle_for(program_attr) if oracle_needed else None
-        engine = TLSEngine(
-            getattr(self.compiled, program_attr), config=config, oracle=oracle
+        return self._simulate(
+            (program_attr, config, True), label or program_attr, "custom"
         )
-        result = engine.run()
-        self._custom[memo_key] = result
-        self._disk_put_result(disk_key, result)
-        metrics_mod.current().record(
-            self.workload.name,
-            label,
-            "custom",
-            metrics_mod.SOURCE_COMPUTED,
-            time.perf_counter() - started,
-            counters=result.counters,
-        )
-        return result
 
     # -- profile artifacts (compile-free on a warm cache) ----------------
+    def _cached_profile_summary(self) -> Optional[Dict]:
+        """The profile summary from memo or disk, never computing."""
+        if self._profile_summary is None:
+            cache = cache_mod.active_cache()
+            if cache is None:
+                return None
+            payload = cache.get(profile_key(self.workload.name, self.threshold))
+            if payload is None:
+                return None
+            self._profile_summary = payload
+            metrics_mod.current().record(
+                self.workload.name, "profile", "profile",
+                metrics_mod.SOURCE_CACHE, 0.0,
+            )
+        return self._profile_summary
+
     def profile_summary(self) -> Dict:
         """Profile-derived data the figure harnesses need.
 
@@ -321,28 +321,12 @@ class WorkloadBundle:
         served from memory or the persistent cache so that Figures 6
         and 7 can render on a warm cache without recompiling.
         """
-        if self._profile_summary is not None:
-            return self._profile_summary
-        cache = cache_mod.active_cache()
-        disk_key = cache_mod.result_key(
-            self.workload.name, self.threshold, "profile", "profile", "", None
-        )
-        if cache is not None:
-            payload = cache.get(disk_key)
-            if payload is not None:
-                self._profile_summary = payload
-                metrics_mod.current().record(
-                    self.workload.name,
-                    "profile",
-                    "profile",
-                    metrics_mod.SOURCE_CACHE,
-                    0.0,
-                )
-                return payload
-        summary = self._compute_profile_summary()
-        self._profile_summary = summary
-        if cache is not None:
-            cache.put(disk_key, summary)
+        summary = self._cached_profile_summary()
+        if summary is None:
+            summary = self._profile_summary = self._compute_profile_summary()
+            cache = cache_mod.active_cache()
+            if cache is not None:
+                cache.put(profile_key(self.workload.name, self.threshold), summary)
         return summary
 
     def _compute_profile_summary(self) -> Dict:
@@ -428,27 +412,20 @@ def clear_cache() -> None:
 _spec_id = spec_id
 
 
-def _base_config(spec: JobSpec) -> Optional[SimConfig]:
-    if spec.kind == "bar" and spec.overrides:
-        return SimConfig(**dict(spec.overrides))
-    return None
-
-
-def _resolve_config(spec: JobSpec, bundle: WorkloadBundle) -> Tuple[SimConfig, str, bool]:
-    """(resolved config, program attribute, oracle needed) for a spec.
+def _resolve_config(spec: JobSpec, bundle: WorkloadBundle) -> SimIdentity:
+    """The simulation identity of a ``bar``/``custom``/``fig06`` spec.
 
     ``fig06`` resolution touches the profile summary and may compile.
     """
     if spec.kind == "bar":
-        config = config_for(spec.label, _base_config(spec))
-        return config, BAR_PROGRAM[spec.label], config.oracle_mode != "off"
+        base = SimConfig(**dict(spec.overrides)) if spec.overrides else None
+        return bar_identity(spec.label, base)
     if spec.kind == "custom":
-        config = SimConfig().with_mode(**dict(spec.overrides))
-        return config, spec.program, spec.oracle_needed
+        return spec.program, SimConfig().with_mode(**dict(spec.overrides)), True
     if spec.kind == "fig06":
         load_set = bundle.profile_load_set(spec.param)
         config = SimConfig().with_mode(oracle_mode="set", oracle_set=load_set)
-        return config, spec.program or "baseline", True
+        return spec.program or "baseline", config, True
     raise ValueError(f"unknown job kind {spec.kind!r}")
 
 
@@ -457,23 +434,7 @@ def _run_spec(spec: JobSpec, bundle: WorkloadBundle) -> Optional[SimResult]:
     if spec.kind == "profile":
         bundle.profile_summary()
         return None
-    if spec.kind == "bar":
-        return bundle.simulate(spec.label, _base_config(spec))
-    config, program, oracle_needed = _resolve_config(spec, bundle)
-    return bundle.simulate_custom(
-        program, config, oracle_needed=oracle_needed, label=spec.label
-    )
-
-
-def _sim_disk_key(
-    spec: JobSpec, bundle: WorkloadBundle, program: str, config: SimConfig
-) -> str:
-    """The persistent-cache key of a resolved ``bar``/``custom`` spec."""
-    if spec.kind == "bar":
-        return bundle._disk_key(
-            "bar", spec.label, program, config, parallel=(spec.label != "SEQ")
-        )
-    return bundle._disk_key("custom", "", program, config)
+    return bundle._simulate(_resolve_config(spec, bundle), spec.label, spec.kind)
 
 
 def _try_resolve_from_cache(spec: JobSpec, bundle: WorkloadBundle) -> bool:
@@ -482,67 +443,19 @@ def _try_resolve_from_cache(spec: JobSpec, bundle: WorkloadBundle) -> bool:
     Never compiles: a ``fig06`` spec whose profile summary is absent
     from every cache level is reported as a miss.
     """
+    if spec.kind in ("profile", "fig06") and bundle._cached_profile_summary() is None:
+        return False
     if spec.kind == "profile":
-        if bundle._profile_summary is not None:
-            return True
-        cache = cache_mod.active_cache()
-        if cache is None:
-            return False
-        payload = cache.get(
-            cache_mod.result_key(
-                spec.workload, spec.threshold, "profile", "profile", "", None
-            )
-        )
-        if payload is None:
-            return False
-        bundle._profile_summary = payload
+        return True
+    identity = _resolve_config(spec, bundle)
+    memo_hit = bundle._memo.get(identity)
+    if memo_hit is not None:
         metrics_mod.current().record(
-            spec.workload, "profile", "profile", metrics_mod.SOURCE_CACHE, 0.0
+            spec.workload, spec.label, spec.kind, metrics_mod.SOURCE_MEMO, 0.0,
+            counters=memo_hit.counters,
         )
         return True
-    if spec.kind == "fig06" and bundle._profile_summary is None:
-        if not _try_resolve_from_cache(
-            JobSpec(workload=spec.workload, kind="profile", label="profile",
-                    threshold=spec.threshold),
-            bundle,
-        ):
-            return False
-    config, program, _needed = _resolve_config(spec, bundle)
-    if spec.kind == "bar":
-        memo_key = (spec.label, config)
-        memo_hit = bundle._results.get(memo_key)
-        if memo_hit is not None:
-            metrics_mod.current().record(
-                spec.workload, spec.label, spec.kind, metrics_mod.SOURCE_MEMO, 0.0,
-                counters=memo_hit.counters,
-            )
-            return True
-        result = bundle._disk_get_result(
-            _sim_disk_key(spec, bundle, program, config)
-        )
-        if result is None:
-            return False
-        bundle._results[memo_key] = result
-    else:
-        memo_key = (program, config)
-        memo_hit = bundle._custom.get(memo_key)
-        if memo_hit is not None:
-            metrics_mod.current().record(
-                spec.workload, spec.label, spec.kind, metrics_mod.SOURCE_MEMO, 0.0,
-                counters=memo_hit.counters,
-            )
-            return True
-        result = bundle._disk_get_result(
-            _sim_disk_key(spec, bundle, program, config)
-        )
-        if result is None:
-            return False
-        bundle._custom[memo_key] = result
-    metrics_mod.current().record(
-        spec.workload, spec.label, spec.kind, metrics_mod.SOURCE_CACHE, 0.0,
-        counters=result.counters,
-    )
-    return True
+    return bundle._lookup(identity, spec.label, spec.kind) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +485,8 @@ def _execute_group(payload: Tuple[str, float, List[JobSpec], Optional[str]]) -> 
         result = _run_spec(spec, bundle)
         job: Dict = {"spec_id": _spec_id(spec), "kind": spec.kind}
         if result is not None:
-            config, program, _needed = _resolve_config(spec, bundle)
-            memo = spec.label if spec.kind == "bar" else program
-            job["memo_key"] = (memo, config)
-            job["disk_key"] = _sim_disk_key(spec, bundle, program, config)
+            job["identity"] = identity = _resolve_config(spec, bundle)
+            job["disk_key"] = bundle.sim_key(identity)
             job["result"] = result.to_state()
         job["wall_s"] = time.perf_counter() - started
         out.append(job)
@@ -598,10 +509,7 @@ def _persist_group(group: Dict) -> None:
         return
     if group["profile_summary"] is not None:
         cache.put(
-            cache_mod.result_key(
-                group["workload"], group["threshold"],
-                "profile", "profile", "", None,
-            ),
+            profile_key(group["workload"], group["threshold"]),
             group["profile_summary"],
         )
     for job in group["jobs"]:
@@ -629,9 +537,9 @@ def _merge_group(group: Dict, specs_by_id: Dict[str, JobSpec]) -> None:
         spec = specs_by_id[job["spec_id"]]
         counters = None
         if "result" in job:
-            result = SimResult.from_state(job["result"])
-            memos = bundle._results if spec.kind == "bar" else bundle._custom
-            memos[job["memo_key"]] = result
+            result = bundle._memo[job["identity"]] = SimResult.from_state(
+                job["result"]
+            )
             counters = result.counters
         record(
             group["workload"], spec.label, spec.kind,

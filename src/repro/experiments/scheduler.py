@@ -55,13 +55,16 @@ __all__ = [
 class JobSpec:
     """One schedulable simulation (or profile) job.
 
-    ``kind`` selects the execution recipe:
+    ``kind`` selects how the runner resolves the spec to a simulation
+    identity (program, config, parallel); specs of different kinds
+    that resolve to one identity share one simulation, and ``kind``
+    and ``label`` only name the job in run metrics:
 
-    * ``'bar'`` — ``bundle.simulate(label)``; ``overrides`` replace
-      fields of the base :class:`~repro.tlssim.config.SimConfig`
-      before bar resolution.
-    * ``'custom'`` — ``bundle.simulate_custom(program, config)`` with
-      ``config = SimConfig().with_mode(**overrides)``.
+    * ``'bar'`` — the bar ``label``; ``overrides`` replace fields of
+      the base :class:`~repro.tlssim.config.SimConfig` before bar
+      resolution.
+    * ``'custom'`` — ``program`` in parallel under
+      ``SimConfig().with_mode(**overrides)``.
     * ``'fig06'`` — perfect prediction of the loads above ``param``
       dependence frequency (the oracle set is derived from the
       workload's dependence profile).
@@ -80,7 +83,16 @@ class JobSpec:
     threshold: float = 0.05
     overrides: Tuple[Tuple[str, object], ...] = ()
     param: float = 0.0
-    oracle_needed: bool = False
+
+    @property
+    def oracle_needed(self) -> bool:
+        """Whether the ``overrides`` switch the value oracle on.
+
+        Derived, never set: the engine attaches an oracle exactly when
+        ``oracle_mode != "off"``.  Kept because ``perfbench/flows.py``
+        reads it.
+        """
+        return dict(self.overrides).get("oracle_mode", "off") != "off"
 
     @property
     def key(self) -> Tuple[str, float]:

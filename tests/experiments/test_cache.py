@@ -13,34 +13,37 @@ from repro.tlssim.stats import SimResult, ViolationRecord
 class TestResultKey:
     def test_stable_for_same_inputs(self):
         state = cache_mod.config_to_state(SimConfig())
-        a = cache_mod.result_key("go", 0.05, "bar", "C", "sync_ref", state)
-        b = cache_mod.result_key("go", 0.05, "bar", "C", "sync_ref", state)
+        a = cache_mod.result_key("go", 0.05, "sim", "sync_ref", state)
+        b = cache_mod.result_key("go", 0.05, "sim", "sync_ref", state)
         assert a == b
 
     def test_sensitive_to_every_component(self):
         state = cache_mod.config_to_state(SimConfig())
-        base = cache_mod.result_key("go", 0.05, "bar", "C", "sync_ref", state)
-        assert cache_mod.result_key("mcf", 0.05, "bar", "C", "sync_ref", state) != base
-        assert cache_mod.result_key("go", 0.15, "bar", "C", "sync_ref", state) != base
-        assert cache_mod.result_key("go", 0.05, "bar", "U", "sync_ref", state) != base
-        assert cache_mod.result_key("go", 0.05, "bar", "C", "baseline", state) != base
+        base = cache_mod.result_key("go", 0.05, "sim", "sync_ref", state)
+        assert cache_mod.result_key("mcf", 0.05, "sim", "sync_ref", state) != base
+        assert cache_mod.result_key("go", 0.15, "sim", "sync_ref", state) != base
+        assert cache_mod.result_key("go", 0.05, "profile", "sync_ref", state) != base
+        assert cache_mod.result_key(
+            "go", 0.05, "sim", "sync_ref", state, extra={"parallel": False}
+        ) != base
+        assert cache_mod.result_key("go", 0.05, "sim", "baseline", state) != base
 
     def test_sensitive_to_sim_config_fields(self):
         """Any SimConfig change must produce a different cache key."""
         base_state = cache_mod.config_to_state(SimConfig())
         changed_state = cache_mod.config_to_state(SimConfig(num_cores=8))
         assert base_state != changed_state
-        base = cache_mod.result_key("go", 0.05, "bar", "C", "sync_ref", base_state)
+        base = cache_mod.result_key("go", 0.05, "sim", "sync_ref", base_state)
         changed = cache_mod.result_key(
-            "go", 0.05, "bar", "C", "sync_ref", changed_state
+            "go", 0.05, "sim", "sync_ref", changed_state
         )
         assert base != changed
 
     def test_includes_code_fingerprint(self, monkeypatch):
         state = cache_mod.config_to_state(SimConfig())
-        before = cache_mod.result_key("go", 0.05, "bar", "C", "sync_ref", state)
+        before = cache_mod.result_key("go", 0.05, "sim", "sync_ref", state)
         monkeypatch.setattr(cache_mod, "code_fingerprint", lambda: "deadbeef")
-        after = cache_mod.result_key("go", 0.05, "bar", "C", "sync_ref", state)
+        after = cache_mod.result_key("go", 0.05, "sim", "sync_ref", state)
         assert before != after
 
 

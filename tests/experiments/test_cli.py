@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import repro
 from repro.cli import build_parser, main
 from repro.experiments.artifacts import ArtifactStore
+from repro.experiments.cache import ResultCache
 from repro.experiments.runner import bundle_for
 from repro.workloads import get_workload
 
@@ -61,6 +63,12 @@ class TestCommands:
         assert main(["simulate", "go", "--bar", "C", "--cores", "2"]) == 0
         out = capsys.readouterr().out
         assert "cores 2" in out
+        assert "region time: 63.9 (sequential = 100)" in out
+
+    def test_simulate_seq_other_core_count(self, capsys):
+        # SEQ runs its binary sequentially at any core count
+        assert main(["simulate", "go", "--bar", "SEQ", "--cores", "2"]) == 0
+        assert "bar SEQ   cores 2" in capsys.readouterr().out
 
     def test_figure(self, capsys):
         assert main(["figure", "7", "--workloads", "go"]) == 0
@@ -124,6 +132,7 @@ class TestCommands:
         assert main(["cache", "info", "--cache-dir", str(root)]) == 0
         out = capsys.readouterr().out
         assert "compiled: 1" in out and "oracles : 0" in out
+        assert "entries : 4" in out  # every file that clear removes
         assert main([
             "cache", "clear", "--only", "artifacts", "--cache-dir", str(root),
         ]) == 0
@@ -170,3 +179,33 @@ def test_default_flow_never_imports_numpy(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.smoke
+def test_report_smoke_parallel_cold_then_warm(tmp_path):
+    """A cold then a warm parallel ``repro report`` into one cache:
+    the warm run is all hits and both reports are byte-identical."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    cache_dir = tmp_path / "cache"
+
+    def report(name):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "report", "--workloads", "go,mcf",
+             "--jobs", "2", "--cache-dir", str(cache_dir),
+             "--metrics-out", str(tmp_path / f"{name}.json"),
+             "-o", str(tmp_path / f"{name}.md")],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        metrics = json.loads((tmp_path / f"{name}.json").read_text())
+        return (tmp_path / f"{name}.md").read_bytes(), metrics["cache"]
+
+    cold_text, cold = report("cold")
+    # one entry per simulation identity (26) plus the two profiles
+    assert ResultCache(str(cache_dir)).info()["entries"] == 28
+    warm_text, warm = report("warm")
+    assert cold["misses"] > 0, "cold run should compute jobs"
+    assert warm["misses"] == 0, f"warm run recomputed {warm['misses']} jobs"
+    assert warm["hits"] > 0 and warm["hit_rate"] == 1.0
+    assert cold_text == warm_text

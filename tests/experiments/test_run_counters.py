@@ -64,7 +64,7 @@ class TestRunMetricsAggregation:
 
     def test_runner_records_counters_on_compute_and_cache(self):
         bundle = bundle_for("go")
-        bundle._results.clear()  # force at least a memo/disk round
+        bundle._memo.clear()  # force at least a memo/disk round
         run = metrics_mod.reset()
         bundle.simulate("C")
         jobs = [j for j in metrics_mod.current().jobs if j.label == "C"]
